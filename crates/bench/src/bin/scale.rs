@@ -4,48 +4,46 @@
 //! The paper stops at 32 brokers / 160 subscribers; the ROADMAP's north star
 //! is a production-scale simulator. This binary sweeps the subscriber
 //! population (160 → ~1k → 10k → 100k, the paper's mesh shape with more
-//! subscribers per edge broker) under dynamic scenarios and measures engine
-//! throughput for each [`EventQueueKind`] — the `O(log n)` binary heap
-//! versus the `O(1)`-amortised calendar queue — writing a machine-readable
+//! subscribers per edge broker) under dynamic scenarios, runs each cell
+//! through the engine's sequential event loop and writes a machine-readable
 //! `BENCH_scale.json` that CI tracks for regressions.
 //!
 //! Usage: `cargo run --release -p bdps-bench --bin scale -- [--quick]
-//! [--populations 160,992,10000] [--queues heap,calendar]
+//! [--populations 160,992,10000]
 //! [--scenarios churn,chaos] [--strategies fifo] [--seed N]
 //! [--rebuild-policy full|incremental] [--table-layout dense,sparse]
-//! [--shards 1,2,8] [--link-model constant,fair-share]
-//! [--forwarding exact,aggregate]
+//! [--link-model constant,fair-share] [--forwarding exact,aggregate]
 //! [--out BENCH_scale.json]
 //! [--check bench/baseline.json] [--max-regression 0.25]`.
 //!
-//! `--shards N` with `N > 1` runs the conservative time-window executor
-//! (`bdps_sim::shard`) instead of the sequential loop; shard counts are
-//! part of each cell's baseline key, so sharded and sequential cells are
-//! never gated against each other. The link model is part of the key too
-//! (baselines from before the axis existed default to `constant`), and
-//! fair-share cells are skipped at `shards > 1` — the sharded executor
-//! rejects sharing models by design. `--forwarding aggregate` measures
-//! edge-only scope expansion: the forwarding mode joins the key (old
-//! baselines default to `exact`), aggregate cells are skipped under the
-//! dense layout and under `shards > 1` (both rejected by the engine), and
+//! Each cell is keyed by population, scenario, rebuild policy, table layout,
+//! link model and forwarding mode, so the gate never compares across modes
+//! (baselines from before an axis existed default to its historical value).
+//! `--forwarding aggregate` measures edge-only scope expansion: aggregate
+//! cells are skipped under the dense layout (rejected by the engine), and
 //! the run reports each aggregate cell's false-positive forwarding rate.
 //!
-//! With `--check <baseline>`, every cell present in the baseline is compared
-//! by events/sec and the process exits non-zero when any regresses by more
-//! than `--max-regression` (25 % by default) — the contract of the
-//! `bench-perf` CI job.
+//! With `--check <baseline>`, every cell present in the baseline is checked
+//! twice, and the process exits non-zero when either check fails — the
+//! contract of the `bench-perf` CI job:
+//!
+//! * **behaviour** — `published`, `on_time` and `transmissions` must equal
+//!   the baseline's exactly (the simulation is deterministic, so any drift
+//!   is a behaviour change, not noise);
+//! * **speed** — events/sec must not regress by more than
+//!   `--max-regression` (25 % by default) on cells that run long enough to
+//!   measure.
 
 use bdps_bench::{ArgParser, ExperimentOptions, COMMON_FLAGS_HELP};
 use bdps_overlay::topology::LayeredMeshConfig;
 use bdps_sim::prelude::*;
-use bdps_sim::sched::EventQueueKind;
 use bdps_sim::{RebuildPolicy, TableLayout};
 use bdps_types::time::Duration;
 use std::time::Instant;
 
-const SCALE_FLAGS_HELP: &str = "--quick | --populations <n,n,..> | --queues <heap,calendar> \
+const SCALE_FLAGS_HELP: &str = "--quick | --populations <n,n,..> \
      | --rebuild-policy <full|incremental> | --table-layout <dense,sparse> \
-     | --shards <1,2,..> | --forwarding <exact,aggregate> | --passes <n> | --out <path> \
+     | --forwarding <exact,aggregate> | --passes <n> | --out <path> \
      | --check <baseline.json> | --max-regression <frac>";
 
 /// Default populations of the full sweep (paper mesh: multiples of the 16
@@ -58,10 +56,8 @@ struct ScaleOptions {
     common: ExperimentOptions,
     quick: bool,
     populations: Vec<usize>,
-    queues: Vec<EventQueueKind>,
     rebuild_policy: RebuildPolicy,
     layouts: Vec<TableLayout>,
-    shards: Vec<usize>,
     forwardings: Vec<ForwardingMode>,
     out: String,
     check: Option<String>,
@@ -77,10 +73,8 @@ impl ScaleOptions {
             common: ExperimentOptions::default(),
             quick: false,
             populations: Vec::new(),
-            queues: EventQueueKind::ALL.to_vec(),
             rebuild_policy: RebuildPolicy::default(),
             layouts: TableLayout::ALL.to_vec(),
-            shards: vec![1],
             forwardings: vec![ForwardingMode::Exact],
             out: "BENCH_scale.json".to_string(),
             check: None,
@@ -108,17 +102,6 @@ impl ScaleOptions {
                             })
                             .collect::<Result<_, _>>()?;
                     }
-                    "--queues" => {
-                        opts.queues = parser
-                            .list_value(&flag)?
-                            .iter()
-                            .map(|name| {
-                                EventQueueKind::from_name(name).ok_or_else(|| {
-                                    format!("unknown event queue {name:?}; known: heap, calendar")
-                                })
-                            })
-                            .collect::<Result<_, _>>()?;
-                    }
                     "--rebuild-policy" => {
                         let name = parser.value(&flag)?;
                         opts.rebuild_policy = RebuildPolicy::from_name(&name).ok_or_else(|| {
@@ -133,18 +116,6 @@ impl ScaleOptions {
                                 TableLayout::from_name(name).ok_or_else(|| {
                                     format!("unknown table layout {name:?}; known: dense, sparse")
                                 })
-                            })
-                            .collect::<Result<_, _>>()?;
-                    }
-                    "--shards" => {
-                        opts.shards = parser
-                            .list_value(&flag)?
-                            .iter()
-                            .map(|v| {
-                                v.parse::<usize>()
-                                    .ok()
-                                    .filter(|&n| n >= 1)
-                                    .ok_or_else(|| format!("--shards got invalid count {v:?}"))
                             })
                             .collect::<Result<_, _>>()?;
                     }
@@ -208,15 +179,14 @@ impl ScaleOptions {
     }
 }
 
-/// One measured (population, scenario, queue) cell.
+/// One measured (population, scenario, layout, model, forwarding) cell.
+#[derive(Default)]
 struct Cell {
     population: usize,
     scenario: String,
-    queue: EventQueueKind,
     strategy: String,
     rebuild_policy: RebuildPolicy,
     table_layout: TableLayout,
-    shards: usize,
     link_model: LinkModelKind,
     forwarding: ForwardingMode,
     duration_secs: u64,
@@ -241,13 +211,11 @@ struct Cell {
 impl Cell {
     fn key(&self) -> String {
         format!(
-            "{}/{}/{}/{}/{}/s{}/{}/{}",
+            "{}/{}/{}/{}/{}/{}",
             self.population,
             self.scenario,
-            self.queue,
             self.rebuild_policy.name(),
             self.table_layout.name(),
-            self.shards,
             self.link_model.name(),
             self.forwarding.name()
         )
@@ -261,9 +229,9 @@ impl Cell {
 
     fn to_json_line(&self) -> String {
         format!(
-            "    {{\"population\": {}, \"scenario\": \"{}\", \"queue\": \"{}\", \
+            "    {{\"population\": {}, \"scenario\": \"{}\", \
              \"strategy\": \"{}\", \"rebuild_policy\": \"{}\", \"table_layout\": \"{}\", \
-             \"shards\": {}, \"link_model\": \"{}\", \"forwarding\": \"{}\", \
+             \"link_model\": \"{}\", \"forwarding\": \"{}\", \
              \"duration_secs\": {}, \"build_secs\": {:.3}, \
              \"wall_secs\": {:.3}, \"events\": {}, \"events_per_sec\": {:.1}, \
              \"peak_pending_events\": {}, \"published\": {}, \"on_time\": {}, \
@@ -274,11 +242,9 @@ impl Cell {
              \"table_bytes_estimate\": {}}}",
             self.population,
             self.scenario,
-            self.queue,
             self.strategy,
             self.rebuild_policy.name(),
             self.table_layout.name(),
-            self.shards,
             self.link_model.name(),
             self.forwarding.name(),
             self.duration_secs,
@@ -328,15 +294,12 @@ fn mesh_for(population: usize) -> (LayeredMeshConfig, usize) {
 
 /// Builds and runs one cell `opts.passes` times and keeps the fastest pass
 /// — the first run at a new population pays one-off allocator/page-cache
-/// warmup that would otherwise be misread as a scheduler difference.
-#[allow(clippy::too_many_arguments)]
+/// warmup that would otherwise be misread as a throughput difference.
 fn run_cell(
     opts: &ScaleOptions,
     population: usize,
     scenario: &DynamicScenario,
-    queue: EventQueueKind,
     layout: TableLayout,
-    shards: usize,
     link_model: LinkModelKind,
     forwarding: ForwardingMode,
     strategy: &bdps_core::strategy::StrategyHandle,
@@ -349,7 +312,6 @@ fn run_cell(
         .duration(Duration::from_secs(duration_secs))
         .strategy(strategy.clone())
         .scenario(scenario.clone())
-        .event_queue(queue)
         .rebuild_policy(opts.rebuild_policy)
         .table_layout(layout)
         .link_model(link_model)
@@ -361,20 +323,14 @@ fn run_cell(
         let sim = builder.build();
         let build_secs = build_start.elapsed().as_secs_f64();
         let run_start = Instant::now();
-        let outcome = if shards > 1 {
-            bdps_sim::run_sharded(sim, shards)
-        } else {
-            sim.run()
-        };
+        let outcome = sim.run();
         let wall_secs = run_start.elapsed().as_secs_f64();
         let cell = Cell {
             population: actual_population,
             scenario: scenario.name.clone(),
-            queue,
             strategy: strategy.label().to_string(),
             rebuild_policy: opts.rebuild_policy,
             table_layout: layout,
-            shards,
             link_model,
             forwarding,
             duration_secs,
@@ -431,69 +387,111 @@ fn extract(line: &str, key: &str) -> Option<String> {
     }
 }
 
-/// `(population/scenario/queue/policy/layout/shards/model/forwarding,
-/// events_per_sec)` pairs from a baseline file. The rebuild policy, table
-/// layout, shard count, link model and forwarding mode are part of the key
-/// so a full-policy, sparse-layout, multi-shard, fair-share or
-/// aggregate-forwarding run is never gated against baselines measured under
-/// another mode (their events/sec are not comparable); baselines from
-/// before an axis existed default to its historical value ("incremental" /
-/// "dense" / 1 shard / "constant" / "exact").
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
+/// One cell of a baseline file: its key, its throughput and the behaviour
+/// counts the gate holds exactly.
+#[derive(Debug)]
+struct BaselineCell {
+    key: String,
+    events_per_sec: f64,
+    published: u64,
+    on_time: u64,
+    transmissions: u64,
+}
+
+/// The cells of a baseline file, keyed
+/// `population/scenario/policy/layout/model/forwarding`. The rebuild
+/// policy, table layout, link model and forwarding mode are part of the key
+/// so a full-policy, sparse-layout, fair-share or aggregate-forwarding run
+/// is never gated against baselines measured under another mode (their
+/// events/sec are not comparable); baselines from before an axis existed
+/// default to its historical value ("incremental" / "dense" / "constant" /
+/// "exact"). A cell line missing its throughput or a behaviour count is an
+/// error, so the behaviour gate can never silently skip a cell.
+fn parse_baseline(text: &str) -> Result<Vec<BaselineCell>, String> {
     text.lines()
         .filter(|line| line.contains("\"population\""))
-        .filter_map(|line| {
-            let population = extract(line, "population")?;
-            let scenario = extract(line, "scenario")?;
-            let queue = extract(line, "queue")?;
+        .map(|line| {
+            let field = |key: &str| {
+                extract(line, key).ok_or_else(|| format!("baseline cell lacks {key:?}: {line}"))
+            };
+            let count = |key: &str| {
+                field(key)?
+                    .parse::<u64>()
+                    .map_err(|_| format!("baseline cell has a non-integer {key:?}: {line}"))
+            };
+            let population = field("population")?;
+            let scenario = field("scenario")?;
             let policy =
                 extract(line, "rebuild_policy").unwrap_or_else(|| "incremental".to_string());
             let layout = extract(line, "table_layout").unwrap_or_else(|| "dense".to_string());
-            let shards = extract(line, "shards").unwrap_or_else(|| "1".to_string());
             let model = extract(line, "link_model").unwrap_or_else(|| "constant".to_string());
             let forwarding = extract(line, "forwarding").unwrap_or_else(|| "exact".to_string());
-            let eps: f64 = extract(line, "events_per_sec")?.parse().ok()?;
-            Some((
-                format!(
-                    "{population}/{scenario}/{queue}/{policy}/{layout}/s{shards}/{model}/{forwarding}"
-                ),
-                eps,
-            ))
+            Ok(BaselineCell {
+                key: format!("{population}/{scenario}/{policy}/{layout}/{model}/{forwarding}"),
+                events_per_sec: field("events_per_sec")?.parse().map_err(|_| {
+                    format!("baseline cell has a non-numeric events_per_sec: {line}")
+                })?,
+                published: count("published")?,
+                on_time: count("on_time")?,
+                transmissions: count("transmissions")?,
+            })
         })
         .collect()
 }
 
-/// Compares against a committed baseline; returns the failure messages.
-fn check_regressions(opts: &ScaleOptions, cells: &[Cell]) -> Result<Vec<String>, String> {
-    let path = opts.check.as_deref().expect("check mode");
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path:?}: {e}"))?;
-    let baseline = parse_baseline(&text);
-    if baseline.is_empty() {
-        return Err(format!("baseline {path:?} contains no cells"));
-    }
-    // Cells faster than this cannot measure throughput within the gate's
-    // tolerance (the 160-population cells finish in ~40 ms, where run-to-run
-    // swings already exceed 25 %); they are reported but never fail the gate.
-    const MIN_GATED_WALL_SECS: f64 = 0.5;
+/// Cells faster than this cannot measure throughput within the gate's
+/// tolerance (the 160-population cells finish in ~40 ms, where run-to-run
+/// swings already exceed 25 %); their speed is reported but never fails the
+/// gate. Their behaviour counts are still held exactly.
+const MIN_GATED_WALL_SECS: f64 = 0.5;
 
-    let mut failures = Vec::new();
-    let mut compared = 0usize;
-    println!(
-        "\n## Baseline comparison ({path}, max regression {:.0} %)\n",
-        opts.max_regression * 100.0
-    );
-    let mut rows = Vec::new();
-    for (key, base_eps) in &baseline {
+/// The outcome of comparing a run against its baseline.
+struct GateResult {
+    /// One table row per baseline cell the run measured.
+    rows: Vec<Vec<String>>,
+    /// Behaviour and speed failures, one message each.
+    failures: Vec<String>,
+    /// Baseline cells the run did not measure.
+    missing: Vec<String>,
+    /// Matched cells slow enough to gate on speed.
+    speed_gated: usize,
+}
+
+/// Holds every measured cell to its baseline twin: exact `published`,
+/// `on_time` and `transmissions`, and events/sec within `max_regression`
+/// when the cell ran at least [`MIN_GATED_WALL_SECS`].
+fn gate(baseline: &[BaselineCell], cells: &[Cell], max_regression: f64) -> GateResult {
+    let mut result = GateResult {
+        rows: Vec::new(),
+        failures: Vec::new(),
+        missing: Vec::new(),
+        speed_gated: 0,
+    };
+    for base in baseline {
+        let key = &base.key;
         let Some(cell) = cells.iter().find(|c| &c.key() == key) else {
-            println!("- note: baseline cell {key} was not part of this run");
+            result.missing.push(key.clone());
             continue;
         };
-        let ratio = cell.events_per_sec / base_eps;
+        let mut same_behaviour = true;
+        for (name, was, now) in [
+            ("published", base.published, cell.published),
+            ("on_time", base.on_time, cell.on_time),
+            ("transmissions", base.transmissions, cell.transmissions),
+        ] {
+            if was != now {
+                same_behaviour = false;
+                result.failures.push(format!(
+                    "{key}: behaviour changed — {name} is {now}, baseline has {was}"
+                ));
+            }
+        }
+        let ratio = cell.events_per_sec / base.events_per_sec;
         let gated = cell.wall_secs >= MIN_GATED_WALL_SECS;
-        rows.push(vec![
+        result.rows.push(vec![
             key.clone(),
-            format!("{base_eps:.0}"),
+            if same_behaviour { "same" } else { "CHANGED" }.to_string(),
+            format!("{:.0}", base.events_per_sec),
             format!("{:.0}", cell.events_per_sec),
             format!("{ratio:.2}x"),
             if gated { "yes" } else { "too fast to gate" }.to_string(),
@@ -501,23 +499,51 @@ fn check_regressions(opts: &ScaleOptions, cells: &[Cell]) -> Result<Vec<String>,
         if !gated {
             continue;
         }
-        compared += 1;
-        if ratio < 1.0 - opts.max_regression {
-            failures.push(format!(
-                "{key}: events/sec regressed to {:.0} from baseline {base_eps:.0} ({:.0} %)",
+        result.speed_gated += 1;
+        if ratio < 1.0 - max_regression {
+            result.failures.push(format!(
+                "{key}: events/sec regressed to {:.0} from baseline {:.0} ({:.0} %)",
                 cell.events_per_sec,
+                base.events_per_sec,
                 ratio * 100.0
             ));
         }
     }
+    result
+}
+
+/// Compares against a committed baseline; returns the failure messages.
+fn check_regressions(opts: &ScaleOptions, cells: &[Cell]) -> Result<Vec<String>, String> {
+    let path = opts.check.as_deref().expect("check mode");
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path:?}: {e}"))?;
+    let baseline = parse_baseline(&text)?;
+    if baseline.is_empty() {
+        return Err(format!("baseline {path:?} contains no cells"));
+    }
+    println!(
+        "\n## Baseline comparison ({path}, exact behaviour counts, max regression {:.0} %)\n",
+        opts.max_regression * 100.0
+    );
+    let result = gate(&baseline, cells, opts.max_regression);
+    for key in &result.missing {
+        println!("- note: baseline cell {key} was not part of this run");
+    }
     println!(
         "{}",
         render_markdown_table(
-            &["cell", "baseline ev/s", "now ev/s", "ratio", "gated"],
-            &rows
+            &[
+                "cell",
+                "behaviour",
+                "baseline ev/s",
+                "now ev/s",
+                "ratio",
+                "speed gated"
+            ],
+            &result.rows
         )
     );
-    if compared == 0 {
+    if result.speed_gated == 0 {
         // A gate that matches nothing must fail loudly, not pass silently —
         // otherwise a renamed scenario or drifted population label would
         // turn the whole perf check into a no-op.
@@ -527,20 +553,17 @@ fn check_regressions(opts: &ScaleOptions, cells: &[Cell]) -> Result<Vec<String>,
              {MIN_GATED_WALL_SECS} s); regenerate the baseline"
         ));
     }
-    Ok(failures)
+    Ok(result.failures)
 }
 
 fn main() {
     let opts = ScaleOptions::from_args();
     println!(
         "# Scale — engine throughput vs subscriber population\n\n\
-         populations: {:?}, queues: {:?}, rebuild policy: {}, layouts: {:?}, \
-         shards: {:?}, seed: {}\n",
+         populations: {:?}, rebuild policy: {}, layouts: {:?}, seed: {}\n",
         opts.populations,
-        opts.queues.iter().map(|q| q.name()).collect::<Vec<_>>(),
         opts.rebuild_policy.name(),
         opts.layouts.iter().map(|l| l.name()).collect::<Vec<_>>(),
-        opts.shards,
         opts.common.seed
     );
 
@@ -587,174 +610,41 @@ fn main() {
                     scenario.name, population
                 );
             }
-            for &queue in &opts.queues {
-                for &layout in &opts.layouts {
-                    for &shards in &opts.shards {
-                        for &model in &link_models {
-                            if shards > 1 && model != LinkModelKind::Constant {
-                                println!(
-                                    "- note: skipping {model} at s{shards} (the sharded executor \
-                                     supports only the constant-delay model)"
-                                );
-                                continue;
-                            }
-                            for &forwarding in &opts.forwardings {
-                                if forwarding == ForwardingMode::Aggregate
-                                    && layout == TableLayout::Dense
-                                {
-                                    println!(
-                                        "- note: skipping aggregate forwarding under the dense \
-                                         layout (needs the shared-population registry)"
-                                    );
-                                    continue;
-                                }
-                                if forwarding == ForwardingMode::Aggregate && shards > 1 {
-                                    println!(
-                                        "- note: skipping aggregate forwarding at s{shards} (the \
-                                         sharded executor rejects edge expansion)"
-                                    );
-                                    continue;
-                                }
-                                let cell = run_cell(
-                                    &opts, population, scenario, queue, layout, shards, model,
-                                    forwarding, strategy,
-                                );
-                                println!(
-                        "- {:>7} subs · {:<11} · {:<8} · {:<6} · s{} · {:<10} · {:<9}: {:>9.0} events/sec ({} events in {:.2} s wall, peak queue {}, scope hit rate {:.0} %, {} entries retargeted, {} full table rebuilds, {} aggregates, {:.1} MB tables, fp rate {:.1} %)",
-                        cell.population,
-                        cell.scenario,
-                        cell.queue.name(),
-                        cell.table_layout.name(),
-                        cell.shards,
-                        cell.link_model.name(),
-                        cell.forwarding.name(),
-                        cell.events_per_sec,
-                        cell.events,
-                        cell.wall_secs,
-                        cell.peak_pending_events,
-                        100.0 * cell.scope_intern_hits as f64 / cell.scope_interns.max(1) as f64,
-                        cell.entries_retargeted,
-                        cell.tables_rebuilt_full,
-                        cell.aggregate_entries,
-                        cell.table_bytes_estimate as f64 / 1e6,
-                        100.0 * cell.false_positive_rate(),
-                    );
-                                cells.push(cell);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // Headline: calendar-vs-heap speedup per (population, scenario, layout).
-    println!("\n## events/sec by population (speedup = calendar / heap)\n");
-    let mut rows = Vec::new();
-    for &population in &opts.populations {
-        let (_, actual) = mesh_for(population);
-        for scenario in &scenarios {
             for &layout in &opts.layouts {
-                let find = |queue: EventQueueKind| {
-                    cells.iter().find(|c| {
-                        c.population == actual
-                            && c.scenario == scenario.name
-                            && c.queue == queue
-                            && c.table_layout == layout
-                            && c.shards == opts.shards[0]
-                            && c.link_model == link_models[0]
-                            && c.forwarding == opts.forwardings[0]
-                    })
-                };
-                if let (Some(heap), Some(calendar)) = (
-                    find(EventQueueKind::BinaryHeap),
-                    find(EventQueueKind::Calendar),
-                ) {
-                    rows.push(vec![
-                        format!("{actual}"),
-                        scenario.name.clone(),
-                        layout.name().to_string(),
-                        format!("{:.0}", heap.events_per_sec),
-                        format!("{:.0}", calendar.events_per_sec),
-                        format!("{:.2}x", calendar.events_per_sec / heap.events_per_sec),
-                    ]);
-                }
-            }
-        }
-    }
-    if !rows.is_empty() {
-        println!(
-            "{}",
-            render_markdown_table(
-                &[
-                    "population",
-                    "scenario",
-                    "layout",
-                    "heap ev/s",
-                    "calendar ev/s",
-                    "speedup"
-                ],
-                &rows
-            )
-        );
-    }
-
-    // The parallel headline: events/sec per shard count relative to the
-    // sequential loop, per (population, scenario). On a single-core host
-    // this mostly measures the executor's coordination overhead; real
-    // speedups need as many cores as shards.
-    if opts.shards.len() > 1 {
-        println!("\n## events/sec by shard count (speedup vs 1 shard)\n");
-        let scaling_queue = opts.queues[0];
-        let scaling_layout = opts.layouts[0];
-        let mut rows = Vec::new();
-        for &population in &opts.populations {
-            let (_, actual) = mesh_for(population);
-            for scenario in &scenarios {
-                let find = |shards: usize| {
-                    cells.iter().find(|c| {
-                        c.population == actual
-                            && c.scenario == scenario.name
-                            && c.queue == scaling_queue
-                            && c.table_layout == scaling_layout
-                            && c.shards == shards
-                            && c.link_model == LinkModelKind::Constant
-                            && c.forwarding == ForwardingMode::Exact
-                    })
-                };
-                let Some(base) = find(1) else { continue };
-                for &shards in &opts.shards {
-                    if shards == 1 {
-                        continue;
-                    }
-                    if let Some(cell) = find(shards) {
-                        rows.push(vec![
-                            format!("{actual}"),
-                            scenario.name.clone(),
-                            format!("{shards}"),
-                            format!("{:.0}", base.events_per_sec),
-                            format!("{:.0}", cell.events_per_sec),
-                            format!("{:.2}x", cell.events_per_sec / base.events_per_sec),
-                        ]);
+                for &model in &link_models {
+                    for &forwarding in &opts.forwardings {
+                        if forwarding == ForwardingMode::Aggregate && layout == TableLayout::Dense {
+                            println!(
+                                "- note: skipping aggregate forwarding under the dense \
+                                 layout (needs the shared-population registry)"
+                            );
+                            continue;
+                        }
+                        let cell = run_cell(
+                            &opts, population, scenario, layout, model, forwarding, strategy,
+                        );
+                        println!(
+                            "- {:>7} subs · {:<11} · {:<6} · {:<10} · {:<9}: {:>9.0} events/sec ({} events in {:.2} s wall, peak queue {}, scope hit rate {:.0} %, {} entries retargeted, {} full table rebuilds, {} aggregates, {:.1} MB tables, fp rate {:.1} %)",
+                            cell.population,
+                            cell.scenario,
+                            cell.table_layout.name(),
+                            cell.link_model.name(),
+                            cell.forwarding.name(),
+                            cell.events_per_sec,
+                            cell.events,
+                            cell.wall_secs,
+                            cell.peak_pending_events,
+                            100.0 * cell.scope_intern_hits as f64 / cell.scope_interns.max(1) as f64,
+                            cell.entries_retargeted,
+                            cell.tables_rebuilt_full,
+                            cell.aggregate_entries,
+                            cell.table_bytes_estimate as f64 / 1e6,
+                            100.0 * cell.false_positive_rate(),
+                        );
+                        cells.push(cell);
                     }
                 }
             }
-        }
-        if !rows.is_empty() {
-            println!(
-                "{}",
-                render_markdown_table(
-                    &[
-                        "population",
-                        "scenario",
-                        "shards",
-                        "1-shard ev/s",
-                        "sharded ev/s",
-                        "speedup"
-                    ],
-                    &rows
-                )
-            );
         }
     }
 
@@ -770,7 +660,6 @@ fn main() {
         println!(
             "\n## events/sec by forwarding mode (speedup = aggregate / exact, sparse layout)\n"
         );
-        let forwarding_queue = opts.queues[0];
         let mut rows = Vec::new();
         for &population in &opts.populations {
             let (_, actual) = mesh_for(population);
@@ -779,9 +668,7 @@ fn main() {
                     cells.iter().find(|c| {
                         c.population == actual
                             && c.scenario == scenario.name
-                            && c.queue == forwarding_queue
                             && c.table_layout == TableLayout::Sparse
-                            && c.shards == 1
                             && c.link_model == link_models[0]
                             && c.forwarding == forwarding
                     })
@@ -829,9 +716,6 @@ fn main() {
     // scenario) — the axis the sparse layout exists for.
     if opts.layouts.contains(&TableLayout::Dense) && opts.layouts.contains(&TableLayout::Sparse) {
         println!("\n## table memory by layout (dense / sparse)\n");
-        // Memory does not depend on the event scheduler; report one queue's
-        // cells — whichever the run actually used.
-        let memory_queue = opts.queues[0];
         let mut rows = Vec::new();
         for &population in &opts.populations {
             let (_, actual) = mesh_for(population);
@@ -840,9 +724,7 @@ fn main() {
                     cells.iter().find(|c| {
                         c.population == actual
                             && c.scenario == scenario.name
-                            && c.queue == memory_queue
                             && c.table_layout == layout
-                            && c.shards == opts.shards[0]
                             && c.link_model == link_models[0]
                             && c.forwarding == opts.forwardings[0]
                     })
@@ -905,5 +787,91 @@ fn main() {
                 std::process::exit(1);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A measured 10k churn cell, slow enough to be speed-gated.
+    fn measured() -> Cell {
+        Cell {
+            population: 10_000,
+            scenario: "churn".to_string(),
+            strategy: "EB".to_string(),
+            table_layout: TableLayout::Sparse,
+            duration_secs: 120,
+            wall_secs: 1.0,
+            events: 100_000,
+            events_per_sec: 100_000.0,
+            published: 267,
+            on_time: 197_654,
+            transmissions: 11_501,
+            ..Cell::default()
+        }
+    }
+
+    /// The baseline a run of `cell` would write.
+    fn baseline_of(cell: &Cell) -> Vec<BaselineCell> {
+        parse_baseline(&cell.to_json_line()).expect("a written cell parses")
+    }
+
+    #[test]
+    fn a_cell_passes_against_its_own_baseline() {
+        let cell = measured();
+        let baseline = baseline_of(&cell);
+        assert_eq!(baseline.len(), 1);
+        assert_eq!(baseline[0].key, cell.key());
+        let result = gate(&baseline, &[cell], 0.25);
+        assert!(result.failures.is_empty(), "{:?}", result.failures);
+        assert_eq!(result.speed_gated, 1);
+    }
+
+    #[test]
+    fn a_changed_on_time_count_fails_the_check() {
+        let baseline = baseline_of(&measured());
+        let mut cell = measured();
+        cell.on_time += 1;
+        let result = gate(&baseline, &[cell], 0.25);
+        assert_eq!(result.failures.len(), 1, "{:?}", result.failures);
+        assert!(
+            result.failures[0].contains("on_time"),
+            "{:?}",
+            result.failures
+        );
+    }
+
+    #[test]
+    fn behaviour_is_held_even_on_cells_too_fast_to_gate_on_speed() {
+        let baseline = baseline_of(&measured());
+        for drift in [
+            |c: &mut Cell| c.published -= 1,
+            |c: &mut Cell| c.transmissions += 7,
+        ] {
+            let mut cell = measured();
+            cell.wall_secs = 0.01;
+            drift(&mut cell);
+            let result = gate(&baseline, &[cell], 0.25);
+            assert_eq!(result.speed_gated, 0);
+            assert_eq!(result.failures.len(), 1, "{:?}", result.failures);
+        }
+    }
+
+    #[test]
+    fn a_speed_regression_still_fails_the_check() {
+        let baseline = baseline_of(&measured());
+        let mut cell = measured();
+        cell.events_per_sec = 70_000.0;
+        let result = gate(&baseline, &[cell], 0.25);
+        assert_eq!(result.failures.len(), 1, "{:?}", result.failures);
+        assert!(result.failures[0].contains("events/sec"));
+    }
+
+    #[test]
+    fn a_baseline_cell_without_behaviour_counts_is_rejected() {
+        let line = measured().to_json_line().replace("\"on_time\"", "\"late\"");
+        let err = parse_baseline(&line).unwrap_err();
+        assert!(err.contains("on_time"), "{err}");
     }
 }

@@ -211,36 +211,6 @@ impl ObjectiveTracker {
             self.delay_sum_ms / self.delay_count as f64
         }
     }
-
-    /// Merges another tracker (e.g. from a parallel shard) into this one.
-    pub fn merge(&mut self, other: &ObjectiveTracker) {
-        for (id, stat) in &other.messages {
-            let mine = self.messages.entry(*id).or_default();
-            mine.interested = mine.interested.max(stat.interested);
-            mine.delivered_on_time += stat.delivered_on_time;
-            mine.delivered_late += stat.delivered_late;
-        }
-        for (s, n) in &other.per_subscriber_valid {
-            *self.per_subscriber_valid.entry(*s).or_insert(0) += n;
-        }
-        self.total_earning += other.total_earning;
-        self.delay_sum_ms += other.delay_sum_ms;
-        self.delay_count += other.delay_count;
-        self.duplicate_deliveries += other.duplicate_deliveries;
-        for pair in &other.duplicate_pairs {
-            if self.duplicate_pairs.len() < DUPLICATE_SAMPLE_CAP {
-                self.duplicate_pairs.push(*pair);
-            }
-        }
-        for pair in &other.seen_pairs {
-            if !self.seen_pairs.insert(*pair) {
-                self.duplicate_deliveries += 1;
-                if self.duplicate_pairs.len() < DUPLICATE_SAMPLE_CAP {
-                    self.duplicate_pairs.push(*pair);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -344,14 +314,6 @@ mod tests {
         assert_eq!(t.duplicate_deliveries(), 0);
         deliver(&mut t, 0); // the same pair again
         assert_eq!(t.duplicate_deliveries(), 1);
-        // Merging two shards that saw the same pair also counts it.
-        let mut a = ObjectiveTracker::new();
-        a.register_message(MessageId::new(2), 1);
-        deliver(&mut a, 5);
-        let mut b = ObjectiveTracker::new();
-        deliver(&mut b, 5);
-        a.merge(&b);
-        assert_eq!(a.duplicate_deliveries(), 1);
     }
 
     #[test]
@@ -373,33 +335,5 @@ mod tests {
             false,
         );
         assert!((t.mean_valid_delay_ms() - 1_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_combines_shards() {
-        let mut a = ObjectiveTracker::new();
-        a.register_message(MessageId::new(1), 4);
-        a.record_delivery(
-            MessageId::new(1),
-            SubscriberId::new(0),
-            Price::from_units(2),
-            Duration::from_secs(1),
-            true,
-        );
-        let mut b = ObjectiveTracker::new();
-        b.register_message(MessageId::new(1), 4);
-        b.record_delivery(
-            MessageId::new(1),
-            SubscriberId::new(1),
-            Price::from_units(2),
-            Duration::from_secs(3),
-            true,
-        );
-        a.merge(&b);
-        assert_eq!(a.total_on_time(), 2);
-        assert_eq!(a.total_interested(), 4);
-        assert_eq!(a.total_earning().as_f64(), 4.0);
-        assert!((a.delivery_rate() - 0.5).abs() < 1e-12);
-        assert!((a.mean_valid_delay_ms() - 2_000.0).abs() < 1e-9);
     }
 }

@@ -1,4 +1,4 @@
-//! Tiny checkable models and the {scheduler × policy × layout} cells they
+//! Tiny checkable models and the {policy × layout × forwarding} cells they
 //! are explored under.
 //!
 //! A [`McModel`] is a complete, deterministic description of a miniature
@@ -10,8 +10,8 @@
 //! simultaneous events within the configured budgets.
 //!
 //! [`McModel::build`] materialises the model into a [`Simulation`] for one
-//! [`CheckCell`] — a point of the {event scheduler × rebuild policy × table
-//! layout} cross-product. Exploring every cell of [`CheckCell::all`]
+//! [`CheckCell`] — a point of the {rebuild policy × table layout ×
+//! forwarding mode} cross-product. Exploring every cell of [`CheckCell::all`]
 //! exhaustively cross-checks the configurations the integration-level
 //! differential oracles only sample.
 
@@ -24,7 +24,6 @@ use bdps_overlay::sparse::TableLayout;
 use bdps_overlay::topology::Topology;
 use bdps_sim::engine::{ForwardingMode, RebuildPolicy, Simulation};
 use bdps_sim::scenario::{DynamicScenario, ScenarioAction};
-use bdps_sim::sched::EventQueueKind;
 use bdps_sim::workload::{ArrivalKind, WorkloadConfig};
 use bdps_stats::rng::SimRng;
 use bdps_types::id::{BrokerId, PublisherId, SubscriberId};
@@ -60,12 +59,10 @@ impl ModelTopology {
     }
 }
 
-/// One point of the {event scheduler × rebuild policy × table layout ×
-/// forwarding mode} cross-product a model is checked under.
+/// One point of the {rebuild policy × table layout × forwarding mode}
+/// cross-product a model is checked under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CheckCell {
-    /// The event scheduler implementation.
-    pub queue: EventQueueKind,
     /// The routing/table rebuild policy.
     pub policy: RebuildPolicy,
     /// The subscription-table layout.
@@ -78,46 +75,35 @@ pub struct CheckCell {
 
 impl CheckCell {
     /// Every cell of the cross-product, oracle configurations first: 2
-    /// schedulers × 2 policies × 2 layouts under exact forwarding (8 cells)
-    /// plus 2 schedulers × 2 policies under aggregate × sparse (4 cells) —
-    /// 12 in total.
+    /// policies × 2 layouts under exact forwarding (4 cells) plus 2
+    /// policies under aggregate × sparse (2 cells) — 6 in total.
     pub fn all() -> Vec<CheckCell> {
-        let mut cells = Vec::with_capacity(12);
+        let mut cells = Vec::with_capacity(6);
         for forwarding in ForwardingMode::ALL {
-            for queue in EventQueueKind::ALL {
-                for policy in RebuildPolicy::ALL {
-                    for layout in TableLayout::ALL {
-                        if forwarding == ForwardingMode::Aggregate && layout == TableLayout::Dense {
-                            continue; // rejected by the engine up front
-                        }
-                        cells.push(CheckCell {
-                            queue,
-                            policy,
-                            layout,
-                            forwarding,
-                        });
+            for policy in RebuildPolicy::ALL {
+                for layout in TableLayout::ALL {
+                    if forwarding == ForwardingMode::Aggregate && layout == TableLayout::Dense {
+                        continue; // rejected by the engine up front
                     }
+                    cells.push(CheckCell {
+                        policy,
+                        layout,
+                        forwarding,
+                    });
                 }
             }
         }
         cells
     }
 
-    /// Stable cell name, `"<queue>/<policy>/<layout>"` for exact forwarding
-    /// (unchanged from before the forwarding axis existed) with a fourth
-    /// `"/aggregate"` part under aggregate forwarding (e.g.
-    /// `"calendar/incremental/sparse/aggregate"`).
+    /// Stable cell name, `"<policy>/<layout>"` for exact forwarding with a
+    /// third `"/aggregate"` part under aggregate forwarding (e.g.
+    /// `"incremental/sparse/aggregate"`).
     pub fn name(&self) -> String {
         match self.forwarding {
-            ForwardingMode::Exact => format!(
-                "{}/{}/{}",
-                self.queue.name(),
-                self.policy.name(),
-                self.layout.name()
-            ),
+            ForwardingMode::Exact => format!("{}/{}", self.policy.name(), self.layout.name()),
             ForwardingMode::Aggregate => format!(
-                "{}/{}/{}/{}",
-                self.queue.name(),
+                "{}/{}/{}",
                 self.policy.name(),
                 self.layout.name(),
                 self.forwarding.name()
@@ -125,11 +111,10 @@ impl CheckCell {
         }
     }
 
-    /// Parses a [`name`](Self::name)-formatted cell (the fourth, forwarding
+    /// Parses a [`name`](Self::name)-formatted cell (the third, forwarding
     /// part is optional and defaults to exact).
     pub fn from_name(name: &str) -> Option<CheckCell> {
         let mut parts = name.split('/');
-        let queue = EventQueueKind::from_name(parts.next()?)?;
         let policy = RebuildPolicy::from_name(parts.next()?)?;
         let layout = TableLayout::from_name(parts.next()?)?;
         let forwarding = match parts.next() {
@@ -140,7 +125,6 @@ impl CheckCell {
             return None;
         }
         Some(CheckCell {
-            queue,
             policy,
             layout,
             forwarding,
@@ -328,7 +312,6 @@ impl McModel {
             EstimationError::NONE,
             scenario,
         )
-        .with_event_queue(cell.queue)
         .with_rebuild_policy(cell.policy)
         .with_table_layout(cell.layout)
         .with_link_model(self.link_model)
@@ -354,11 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn cell_cross_product_has_twelve_named_round_tripping_cells() {
+    fn cell_cross_product_has_six_named_round_tripping_cells() {
         let cells = CheckCell::all();
-        assert_eq!(cells.len(), 12);
+        assert_eq!(cells.len(), 6);
         let names: std::collections::HashSet<String> = cells.iter().map(|c| c.name()).collect();
-        assert_eq!(names.len(), 12, "cell names must be distinct");
+        assert_eq!(names.len(), 6, "cell names must be distinct");
         for cell in &cells {
             assert_eq!(CheckCell::from_name(&cell.name()), Some(*cell));
         }
@@ -366,12 +349,12 @@ mod tests {
         assert!(cells
             .iter()
             .all(|c| c.forwarding == ForwardingMode::Exact || c.layout == TableLayout::Sparse));
-        // Pre-forwarding three-part names still parse, as exact cells.
-        let legacy = CheckCell::from_name("calendar/incremental/sparse").unwrap();
-        assert_eq!(legacy.forwarding, ForwardingMode::Exact);
-        assert!(CheckCell::from_name("calendar/incremental").is_none());
-        assert!(CheckCell::from_name("bogus/full/dense").is_none());
-        assert!(CheckCell::from_name("calendar/incremental/sparse/aggregate/extra").is_none());
+        // Two-part names parse as exact cells.
+        let exact = CheckCell::from_name("incremental/sparse").unwrap();
+        assert_eq!(exact.forwarding, ForwardingMode::Exact);
+        assert!(CheckCell::from_name("incremental").is_none());
+        assert!(CheckCell::from_name("bogus/dense").is_none());
+        assert!(CheckCell::from_name("incremental/sparse/aggregate/extra").is_none());
     }
 
     #[test]

@@ -370,7 +370,7 @@ mod tests {
         Counterexample {
             model: "nested-flap".into(),
             seed: 7,
-            cell: "calendar/incremental/sparse".into(),
+            cell: "incremental/sparse".into(),
             kind: "conservation".into(),
             violation: "transfer balance broke: \"in flight\" copy vanished".into(),
             choices: vec![

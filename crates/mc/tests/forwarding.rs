@@ -90,7 +90,7 @@ fn leave_before_expansion_model() -> McModel {
 fn assert_delivery_sets_match(model: &McModel) {
     model.validate().expect("model is in bounds");
     let budget = ExploreBudget::default();
-    let mut by_mode: HashMap<(&str, &str, &str), DeliverySets> = HashMap::new();
+    let mut by_mode: HashMap<(&str, &str), DeliverySets> = HashMap::new();
     for cell in CheckCell::all() {
         if cell.layout != TableLayout::Sparse {
             continue;
@@ -110,23 +110,19 @@ fn assert_delivery_sets_match(model: &McModel) {
             cell.name()
         );
         by_mode.insert(
-            (
-                cell.queue.name(),
-                cell.policy.name(),
-                cell.forwarding.name(),
-            ),
+            (cell.policy.name(), cell.forwarding.name()),
             exploration.stats.terminal_delivery_sets.clone(),
         );
     }
-    for ((queue, policy, forwarding), sets) in &by_mode {
+    for ((policy, forwarding), sets) in &by_mode {
         if *forwarding != ForwardingMode::Aggregate.name() {
             continue;
         }
-        let exact = &by_mode[&(*queue, *policy, ForwardingMode::Exact.name())];
+        let exact = &by_mode[&(*policy, ForwardingMode::Exact.name())];
         assert_eq!(
             exact, sets,
             "delivery sets diverged between exact and aggregate forwarding \
-             under queue={queue} policy={policy}"
+             under policy={policy}"
         );
     }
     // Sanity: something was actually delivered, in at least one terminal.

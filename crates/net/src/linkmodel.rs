@@ -56,9 +56,8 @@ pub enum LinkSharing {
 ///
 /// Implementations must be deterministic functions of their inputs — the
 /// only randomness allowed is the `rng` stream passed in, which the engine
-/// guarantees is the per-link stream (one owner entity per stream, the
-/// discipline that keeps sharded execution bit-identical for the
-/// [`ConstantDelay`] oracle).
+/// guarantees is the per-link stream (one owner entity per stream, so the
+/// draws do not depend on how other links' events interleave).
 pub trait LinkModel: fmt::Debug + Send + Sync {
     /// The registry tag of this model.
     fn kind(&self) -> LinkModelKind;

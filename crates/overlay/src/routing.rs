@@ -274,6 +274,22 @@ impl Routing {
         delta
     }
 
+    /// [`update_for_link_change`](Self::update_for_link_change) with link
+    /// liveness read from per-link failure depths: a link is usable iff its
+    /// depth is 0 (the engine's liveness model). Being non-generic, the
+    /// update is compiled once, in this crate, instead of being
+    /// re-instantiated in the calling crate, where its code quality would
+    /// shift with whatever else that crate's code generation units hold.
+    pub fn update_for_link_depths(
+        &mut self,
+        graph: &OverlayGraph,
+        down_depth: &[u32],
+        removed: &[LinkId],
+        added: &[LinkId],
+    ) -> RouteDelta {
+        self.update_for_link_change(graph, |l| down_depth[l.index()] == 0, removed, added)
+    }
+
     /// Returns true when the batch of link changes can affect `dest`'s
     /// shortest-path tree (see [`update_for_link_change`](Self::update_for_link_change)).
     fn row_affected(

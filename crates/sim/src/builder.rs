@@ -36,7 +36,6 @@ use crate::engine::{ForwardingMode, RebuildPolicy, Simulation};
 use crate::report::SimulationReport;
 use crate::runner::{SimulationConfig, TopologySpec};
 use crate::scenario::{DynamicScenario, ScenarioRegistry};
-use crate::sched::EventQueueKind;
 use crate::workload::WorkloadConfig;
 use bdps_overlay::sparse::TableLayout;
 
@@ -63,12 +62,10 @@ pub struct SimulationBuilder {
     estimation_error: EstimationError,
     drain_grace: Option<Duration>,
     scenario: DynamicScenario,
-    event_queue: EventQueueKind,
     rebuild_policy: RebuildPolicy,
     table_layout: TableLayout,
     link_model: LinkModelKind,
     forwarding: ForwardingMode,
-    shards: usize,
 }
 
 impl Default for SimulationBuilder {
@@ -83,12 +80,10 @@ impl Default for SimulationBuilder {
             estimation_error: EstimationError::NONE,
             drain_grace: None,
             scenario: DynamicScenario::static_scenario(),
-            event_queue: EventQueueKind::default(),
             rebuild_policy: RebuildPolicy::default(),
             table_layout: TableLayout::default(),
             link_model: LinkModelKind::default(),
             forwarding: ForwardingMode::default(),
-            shards: 1,
         }
     }
 }
@@ -112,12 +107,10 @@ impl SimulationBuilder {
             estimation_error: config.estimation_error,
             drain_grace: None,
             scenario: config.scenario.clone(),
-            event_queue: config.event_queue,
             rebuild_policy: config.rebuild_policy,
             table_layout: config.table_layout,
             link_model: config.link_model,
             forwarding: config.forwarding,
-            shards: config.shards,
         }
     }
 
@@ -246,15 +239,6 @@ impl SimulationBuilder {
         Ok(self)
     }
 
-    /// Selects the event-scheduler implementation (calendar queue by
-    /// default). Both [`EventQueueKind`]s pop in identical `(time, seq)`
-    /// order, so this changes wall-clock throughput, never results — the
-    /// golden tests pin that equivalence.
-    pub fn event_queue(mut self, kind: EventQueueKind) -> Self {
-        self.event_queue = kind;
-        self
-    }
-
     /// Selects the routing/table rebuild policy applied after link events
     /// (incremental by default). Both [`RebuildPolicy`]s produce
     /// bit-identical reports — the full rebuild is kept as the differential
@@ -280,8 +264,6 @@ impl SimulationBuilder {
     /// policy and table layout this axis *changes results*:
     /// [`LinkModelKind::FairShare`] shares each link's bandwidth equally
     /// among concurrent flows, so congested links genuinely slow down.
-    /// Fair-share runs require `shards(1)` — the sharded executor returns a
-    /// structured error for non-constant models.
     pub fn link_model(mut self, model: LinkModelKind) -> Self {
         self.link_model = model;
         self
@@ -313,7 +295,7 @@ impl SimulationBuilder {
     /// [`ForwardingMode::Aggregate`] matches only against per-edge covering
     /// summaries and expands at the edge; it preserves the delivery set,
     /// earning and audits (`tests/forwarding_equivalence.rs` pins this) but
-    /// not traffic, and requires [`TableLayout::Sparse`] and `shards(1)`.
+    /// not traffic, and requires [`TableLayout::Sparse`].
     pub fn forwarding(mut self, mode: ForwardingMode) -> Self {
         self.forwarding = mode;
         self
@@ -341,15 +323,6 @@ impl SimulationBuilder {
         self
     }
 
-    /// Sets how many broker shards advance the event loop (default 1, the
-    /// sequential reference loop). With `n > 1` the run uses the
-    /// conservative time-window executor ([`crate::shard`]) on `n` worker
-    /// threads; every shard count produces a bit-identical report.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.shards = n.max(1);
-        self
-    }
-
     /// Materialises the run as a serialisable [`SimulationConfig`] (the form
     /// sweeps and experiment binaries pass around).
     pub fn build_config(&self) -> SimulationConfig {
@@ -370,12 +343,10 @@ impl SimulationBuilder {
             seed: self.seed,
             estimation_error: self.estimation_error,
             scenario: self.scenario.clone(),
-            event_queue: self.event_queue,
             rebuild_policy: self.rebuild_policy,
             table_layout: self.table_layout,
             link_model: self.link_model,
             forwarding: self.forwarding,
-            shards: self.shards,
         }
     }
 
@@ -398,9 +369,6 @@ impl SimulationBuilder {
             config.estimation_error,
             config.scenario,
         );
-        if config.event_queue != EventQueueKind::default() {
-            sim = sim.with_event_queue(config.event_queue);
-        }
         sim = sim.with_rebuild_policy(config.rebuild_policy);
         sim = sim.with_table_layout(config.table_layout);
         sim = sim.with_link_model(config.link_model);
@@ -418,12 +386,7 @@ impl SimulationBuilder {
     /// [`SimulationReport`].
     pub fn report(&self) -> SimulationReport {
         let config = self.build_config();
-        let sim = self.build();
-        let outcome = if self.shards > 1 {
-            crate::shard::run_sharded(sim, self.shards)
-        } else {
-            sim.run()
-        };
+        let outcome = self.build().run();
         SimulationReport::from_outcome(
             &outcome,
             &config.scheduler.strategy,

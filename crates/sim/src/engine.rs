@@ -50,15 +50,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
 
 use crate::scenario::{DynamicScenario, ScenarioAction};
-use crate::sched::{EventQueue, EventQueueKind, Scheduled};
+use crate::sched::{BinaryHeapQueue, Scheduled};
 use crate::workload::WorkloadConfig;
 
-/// Canonical, partition-independent event keys.
+/// Canonical, content-derived event keys.
 ///
 /// [`Scheduled::seq`] is not a global insertion counter but a key derived
 /// from the event's *content*, so the total `(time, key)` order is the same
-/// no matter which shard scheduled the event — the property that makes the
-/// sharded executor ([`crate::shard`]) bit-identical to the sequential loop.
+/// no matter in which order the events were scheduled.
 /// Layout: the event rank in the top two bits (scenario < publish < process
 /// < send at equal times, so scenario actions always apply before traffic at
 /// the same instant), discriminating content in the low bits.
@@ -81,7 +80,7 @@ use crate::workload::WorkloadConfig;
 ///   only re-pushes when the completion time moved), so equal `(time, key)`
 ///   pairs never coexist — and even a popped stale event is a no-op, making
 ///   pop order among hypothetical duplicates irrelevant.
-pub(crate) mod key {
+mod key {
     use bdps_types::id::{LinkId, MessageId, PublisherId};
 
     /// Publisher index bits inside a [`MessageId`] (the counter gets the
@@ -92,15 +91,14 @@ pub(crate) mod key {
     const MESSAGE_BITS: u32 = 41;
 
     /// Most publisher slots the key layout supports (12 bits).
-    pub(crate) const MAX_PUBLISHER_SLOTS: usize = 1 << 12;
+    pub(super) const MAX_PUBLISHER_SLOTS: usize = 1 << 12;
     /// Most links the key layout supports (21 bits, minus the hand-off
     /// sentinel).
-    pub(crate) const MAX_LINKS: usize = (1 << 21) - 1;
+    pub(super) const MAX_LINKS: usize = (1 << 21) - 1;
 
     /// The per-publisher message id: publisher index in the high bits,
-    /// per-publisher counter in the low bits. Partition-independent — a
-    /// publisher mints the same ids whichever shard it is homed to.
-    pub(crate) fn message_id(publisher: PublisherId, counter: u64) -> MessageId {
+    /// per-publisher counter in the low bits.
+    pub(super) fn message_id(publisher: PublisherId, counter: u64) -> MessageId {
         debug_assert!(publisher.index() < MAX_PUBLISHER_SLOTS);
         assert!(
             counter < 1 << MESSAGE_COUNTER_BITS,
@@ -110,20 +108,20 @@ pub(crate) mod key {
     }
 
     /// Key of a scenario event: its materialization index (rank 0).
-    pub(crate) fn scenario(index: u64) -> u64 {
+    pub(super) fn scenario(index: u64) -> u64 {
         debug_assert!(index < 1 << 62);
         index
     }
 
     /// Key of a publication event (rank 1).
-    pub(crate) fn publish(publisher: PublisherId, gen: u64) -> u64 {
+    pub(super) fn publish(publisher: PublisherId, gen: u64) -> u64 {
         debug_assert!(gen < 1 << 40, "rate generation overflowed the key layout");
         (1 << 62) | ((publisher.index() as u64) << 40) | gen
     }
 
     /// Key of a processing-done event (rank 2). `via` is the link that
     /// delivered the copy, or `None` for the publisher-side hand-off.
-    pub(crate) fn process(via: Option<LinkId>, message: MessageId) -> u64 {
+    pub(super) fn process(via: Option<LinkId>, message: MessageId) -> u64 {
         let via = via.map(|l| l.index() as u64 + 1).unwrap_or(0);
         debug_assert!(via <= MAX_LINKS as u64);
         debug_assert!(message.raw() < 1 << MESSAGE_BITS);
@@ -131,7 +129,7 @@ pub(crate) mod key {
     }
 
     /// Key of a transfer-complete event (rank 3).
-    pub(crate) fn send(link: LinkId, message: MessageId) -> u64 {
+    pub(super) fn send(link: LinkId, message: MessageId) -> u64 {
         debug_assert!(message.raw() < 1 << MESSAGE_BITS);
         (3 << 62) | ((link.index() as u64) << MESSAGE_BITS) | message.raw()
     }
@@ -140,7 +138,7 @@ pub(crate) mod key {
     /// the publisher-side hand-off, whose `via` field is 0). Recovered from
     /// the key rather than stored in the event so [`super::EventKind`] and
     /// its digests stay unchanged.
-    pub(crate) fn process_via_link(seq: u64) -> bool {
+    pub(super) fn process_via_link(seq: u64) -> bool {
         ((seq >> MESSAGE_BITS) & ((1 << 21) - 1)) != 0
     }
 }
@@ -161,37 +159,12 @@ pub enum SimError {
         /// Which mutation was abandoned.
         during: &'static str,
     },
-    /// A shard worker thread panicked mid-window (sharded executor only).
-    WorkerPanicked {
-        /// The shard whose worker died.
-        shard: usize,
-        /// The payload of the worker's panic.
-        message: String,
-    },
-    /// The sharded executor was asked to run a non-constant link model.
-    ///
-    /// Fair-share completion re-scheduling can move an already-scheduled
-    /// cross-shard arrival inside the current conservative time window,
-    /// which breaks the PD-lookahead soundness argument the sharded
-    /// executor rests on — so the combination is rejected up front as a
-    /// structured error instead of silently diverging from the sequential
-    /// run.
-    ShardedLinkModelUnsupported {
-        /// The rejected link model's registry name.
-        model: &'static str,
-    },
     /// Aggregate-scoped forwarding ([`ForwardingMode::Aggregate`]) was
     /// requested together with the dense table layout. Aggregate publishing
     /// matches against the edge groups of the shared population registry and
     /// expands at the edge via that same registry — state only the sparse
     /// layout maintains — so the combination is rejected up front.
     AggregateForwardingNeedsSparseLayout,
-    /// The sharded executor was asked to run aggregate-scoped forwarding
-    /// across more than one shard. Edge expansion reads the shared
-    /// population registry at delivery time, which would race with churn
-    /// applied by other shards inside the same conservative window — run
-    /// with shards = 1 (or exact forwarding).
-    ShardedForwardingUnsupported,
 }
 
 impl fmt::Display for SimError {
@@ -201,28 +174,11 @@ impl fmt::Display for SimError {
                 f,
                 "population registry lock poisoned during {during}; mutation abandoned"
             ),
-            SimError::WorkerPanicked { shard, message } => {
-                write!(f, "shard {shard} worker panicked: {message}")
-            }
-            SimError::ShardedLinkModelUnsupported { model } => write!(
-                f,
-                "sharded execution supports only the constant-delay link model \
-                 (got `{model}`): flow completion re-scheduling can move a \
-                 cross-shard arrival inside the PD-lookahead window — run with \
-                 shards = 1"
-            ),
             SimError::AggregateForwardingNeedsSparseLayout => write!(
                 f,
                 "aggregate-scoped forwarding requires the sparse table layout: \
                  publish-time matching and edge expansion both read the shared \
                  population registry, which the dense layout does not maintain"
-            ),
-            SimError::ShardedForwardingUnsupported => write!(
-                f,
-                "sharded execution does not support aggregate-scoped \
-                 forwarding: edge expansion reads the shared population \
-                 registry at delivery time, racing cross-shard churn — run \
-                 with shards = 1 (or exact forwarding)"
             ),
         }
     }
@@ -517,7 +473,7 @@ impl PhaseOutcome {
 /// Per-link utilisation and queueing counters, accumulated by the engine
 /// at every transfer start/completion (and, under a sharing link model, at
 /// every flow arrival/departure). Time integrals are kept in integer
-/// microseconds so the sharded executor reproduces them exactly.
+/// microseconds.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinkLoad {
     /// Transfers started on this link.
@@ -552,17 +508,17 @@ pub struct LinkLoad {
 /// keeps these per link; the pending [`EventKind::FlowComplete`] whose
 /// `resched` stamp matches is the flow's live completion event.
 #[derive(Clone)]
-pub(crate) struct LinkFlow {
+struct LinkFlow {
     /// The copy in flight, targets included (requeued intact on failure).
-    pub(crate) queued: QueuedMessage,
+    queued: QueuedMessage,
     /// Sampled dedicated-link service requirement, µs.
-    pub(crate) nominal_us: f64,
+    nominal_us: f64,
     /// Dedicated-link service still owed, µs (drains at `elapsed / flows`).
-    pub(crate) remaining_us: f64,
+    remaining_us: f64,
     /// Re-schedule stamp of the live completion event.
-    pub(crate) resched: u64,
+    resched: u64,
     /// When the live completion event is scheduled.
-    pub(crate) completes_at: SimTime,
+    completes_at: SimTime,
 }
 
 /// Aggregate results of one simulation run.
@@ -845,37 +801,37 @@ impl fmt::Display for DuplicateDeliveryViolation {
 
 /// A fully constructed simulation, ready to [`run`](Simulation::run).
 pub struct Simulation {
-    pub(crate) topology: Topology,
-    pub(crate) brokers: Vec<BrokerState>,
+    topology: Topology,
+    brokers: Vec<BrokerState>,
     subscriptions: Vec<(Subscription, BrokerId)>,
-    pub(crate) global_index: MatchIndex,
+    global_index: MatchIndex,
     /// The graph the schedulers and routing believe in (identical to the true
     /// graph unless an estimation error is configured). Kept so routing can
     /// be recomputed when links fail or recover.
     believed_graph: OverlayGraph,
     routing: Routing,
-    pub(crate) link_busy: Vec<bool>,
+    link_busy: Vec<bool>,
     /// Which link transfer-time model this run uses (constant by default).
-    pub(crate) link_model_kind: LinkModelKind,
+    link_model_kind: LinkModelKind,
     /// The model instance every transfer-time computation goes through —
     /// stateless (all flow bookkeeping lives in the engine), so forks
     /// rebuild it from `link_model_kind`.
-    pub(crate) link_model: Box<dyn LinkModel>,
+    link_model: Box<dyn LinkModel>,
     /// In-flight flows per link under a sharing link model (always empty
     /// under the exclusive constant-delay model, where `link_busy` and the
     /// copy-carrying `SendComplete` event do the bookkeeping).
-    pub(crate) link_flows: Vec<Vec<LinkFlow>>,
+    link_flows: Vec<Vec<LinkFlow>>,
     /// When each link's in-flight set last changed — the left edge of the
     /// open busy/flow-time integral interval in `link_load`.
-    pub(crate) link_last_change: Vec<SimTime>,
+    link_last_change: Vec<SimTime>,
     /// Per-link utilisation/queueing counters (see [`LinkLoad`]).
-    pub(crate) link_load: Vec<LinkLoad>,
+    link_load: Vec<LinkLoad>,
     /// Nested failure depth per link; a link is alive iff its depth is 0.
-    pub(crate) link_down_depth: Vec<u32>,
+    link_down_depth: Vec<u32>,
     /// Failure generation per link, bumped on every `LinkDown`; a transfer
     /// whose start generation differs at completion was interrupted by a
     /// failure (even one that already recovered) and is void.
-    pub(crate) link_fail_gen: Vec<u64>,
+    link_fail_gen: Vec<u64>,
     /// Set when link liveness changed since the last routing rebuild.
     routing_dirty: bool,
     /// Links whose liveness toggled since the last rebuild (deduplicated via
@@ -891,9 +847,8 @@ pub struct Simulation {
     /// entries, or sparse covering aggregates over the shared registry).
     table_layout: TableLayout,
     /// How publish-time matching scopes copies (exact subscription sets, or
-    /// covering aggregates expanded at the edge). `pub(crate)` so the
-    /// sharded executor can reject the aggregate mode up front.
-    pub(crate) forwarding: ForwardingMode,
+    /// covering aggregates expanded at the edge).
+    forwarding: ForwardingMode,
     /// Population epoch frozen per message at publication time (aggregate
     /// forwarding only): edge expansion delivers only to members whose join
     /// epoch is at or below the publish epoch, reproducing exact mode's
@@ -908,25 +863,20 @@ pub struct Simulation {
     brokers_built: bool,
     tables_rebuilt_full: u64,
     entries_retargeted: u64,
-    pub(crate) link_of: Vec<Vec<Option<LinkId>>>,
-    pub(crate) workload: WorkloadConfig,
-    pub(crate) scheduler: SchedulerConfig,
+    link_of: Vec<Vec<Option<LinkId>>>,
+    workload: WorkloadConfig,
+    scheduler: SchedulerConfig,
     rng: SimRng,
     /// Per-publisher RNG streams (publication gaps and message content) and
     /// per-link streams (transfer-time sampling). Each stream has exactly
     /// one owner entity, so the draw sequence it produces depends only on
     /// the seed and that entity's own event history — never on how events of
-    /// *other* entities interleave. This is what lets the sharded executor
-    /// replay the sequential run bit-for-bit: a shard owns its entities'
-    /// streams outright.
-    pub(crate) publisher_rng: Vec<SimRng>,
-    pub(crate) link_rng: Vec<SimRng>,
-    pub(crate) events: Box<dyn EventQueue<EventKind> + Send>,
-    /// Which scheduler implementation `events` is — kept so [`fork`](Self::fork)
-    /// can rebuild an identical queue for the branch.
-    pub(crate) queue_kind: EventQueueKind,
-    pub(crate) events_processed: u64,
-    pub(crate) peak_pending_events: usize,
+    /// *other* entities interleave.
+    publisher_rng: Vec<SimRng>,
+    link_rng: Vec<SimRng>,
+    events: BinaryHeapQueue<EventKind>,
+    events_processed: u64,
+    peak_pending_events: usize,
     /// Hash-consing pool for copy scopes; all copies of one message (and all
     /// messages matching the same population subset) share one allocation.
     scope_interner: ScopeInterner,
@@ -934,22 +884,22 @@ pub struct Simulation {
     /// allocate on the hot path.
     scope_scratch: Vec<SubscriptionId>,
     /// Per-publisher message counters ([`key::message_id`] combines the
-    /// publisher index and counter into the partition-independent id).
-    pub(crate) next_message: Vec<u64>,
-    pub(crate) end: SimTime,
+    /// publisher index and counter into the canonical id).
+    next_message: Vec<u64>,
+    end: SimTime,
     drain_grace: Duration,
-    pub(crate) tracker: ObjectiveTracker,
-    pub(crate) published: u64,
-    pub(crate) transmissions: u64,
-    pub(crate) completed_transfers: u64,
-    pub(crate) valid_delays_ms: Summary,
-    pub(crate) now: SimTime,
+    tracker: ObjectiveTracker,
+    published: u64,
+    transmissions: u64,
+    completed_transfers: u64,
+    valid_delays_ms: Summary,
+    now: SimTime,
     /// Per-publisher rate multiplier (scenario-controlled; 1.0 = base rate).
-    pub(crate) rate_multiplier: Vec<f64>,
+    rate_multiplier: Vec<f64>,
     /// Per-publisher rate generation; pending publish events from older
     /// generations are ignored when popped.
-    pub(crate) publish_gen: Vec<u64>,
-    pub(crate) phases: Vec<PhaseOutcome>,
+    publish_gen: Vec<u64>,
+    phases: Vec<PhaseOutcome>,
     /// Deliberately broken invariant, if armed (see [`InjectedFault`]).
     /// `None` keeps behaviour bit-identical to a build without the feature.
     #[cfg(feature = "fault-injection")]
@@ -1198,8 +1148,7 @@ impl Simulation {
             rng,
             publisher_rng,
             link_rng,
-            events: EventQueueKind::default().create(),
-            queue_kind: EventQueueKind::default(),
+            events: BinaryHeapQueue::new(),
             events_processed: 0,
             peak_pending_events: 0,
             scope_interner: ScopeInterner::new(),
@@ -1243,21 +1192,6 @@ impl Simulation {
     /// processing in-flight messages (default two minutes).
     pub fn with_drain_grace(mut self, grace: Duration) -> Self {
         self.drain_grace = grace;
-        self
-    }
-
-    /// Swaps the event scheduler implementation (see [`EventQueueKind`]).
-    /// Both schedulers pop in identical `(time, seq)` order, so the choice
-    /// changes throughput, never results. Call before [`run`](Self::run);
-    /// already-scheduled events (scenario stream, publisher seeds) carry
-    /// over.
-    pub fn with_event_queue(mut self, kind: EventQueueKind) -> Self {
-        let mut replacement = kind.create();
-        while let Some(event) = self.events.pop() {
-            replacement.push(event);
-        }
-        self.events = replacement;
-        self.queue_kind = kind;
         self
     }
 
@@ -1343,7 +1277,7 @@ impl Simulation {
         self
     }
 
-    pub(crate) fn build_brokers(&mut self) {
+    fn build_brokers(&mut self) {
         if self.brokers_built {
             return;
         }
@@ -1653,14 +1587,16 @@ impl Simulation {
         let queued_at_end: u64 = self.brokers.iter().map(|b| b.queued_total() as u64).sum();
         let mut in_flight_at_end = 0u64;
         let mut pending_process_at_end = 0u64;
-        self.events.for_each(&mut |entry| match entry.item {
-            EventKind::SendComplete { .. } => in_flight_at_end += 1,
-            EventKind::Process { .. } => pending_process_at_end += 1,
-            // FlowComplete events are not counted: under a sharing model
-            // the flow table is authoritative (stale rescheduled events
-            // would otherwise inflate the in-flight count).
-            _ => {}
-        });
+        for entry in self.events.iter() {
+            match entry.item {
+                EventKind::SendComplete { .. } => in_flight_at_end += 1,
+                EventKind::Process { .. } => pending_process_at_end += 1,
+                // FlowComplete events are not counted: under a sharing model
+                // the flow table is authoritative (stale rescheduled events
+                // would otherwise inflate the in-flight count).
+                _ => {}
+            }
+        }
         in_flight_at_end += self.link_flows.iter().map(|f| f.len() as u64).sum::<u64>();
         let mut phases = self.phases.clone();
         for i in 0..phases.len() {
@@ -1761,8 +1697,6 @@ impl Simulation {
                 b.repoint_population(pop);
             }
         }
-        let mut events = self.queue_kind.create();
-        self.events.for_each(&mut |e| events.push(e.clone()));
         Simulation {
             topology: self.topology.clone(),
             brokers,
@@ -1796,8 +1730,7 @@ impl Simulation {
             rng: self.rng.clone(),
             publisher_rng: self.publisher_rng.clone(),
             link_rng: self.link_rng.clone(),
-            events,
-            queue_kind: self.queue_kind,
+            events: self.events.clone(),
             events_processed: self.events_processed,
             peak_pending_events: self.peak_pending_events,
             scope_interner: self.scope_interner.clone(),
@@ -1848,12 +1781,15 @@ impl Simulation {
             }
         }
         // Pending events as a sorted multiset of (time, content digest).
-        let mut pending: Vec<(u64, u64)> = Vec::with_capacity(self.events.len());
-        self.events.for_each(&mut |e| {
-            let mut eh = std::collections::hash_map::DefaultHasher::new();
-            e.item.digest_into(&mut eh);
-            pending.push((e.time.as_micros(), eh.finish()));
-        });
+        let mut pending: Vec<(u64, u64)> = self
+            .events
+            .iter()
+            .map(|e| {
+                let mut eh = std::collections::hash_map::DefaultHasher::new();
+                e.item.digest_into(&mut eh);
+                (e.time.as_micros(), eh.finish())
+            })
+            .collect();
         pending.sort_unstable();
         h.write_usize(pending.len());
         for (t, d) in pending {
@@ -2609,14 +2545,12 @@ impl Simulation {
         if removed.is_empty() && added.is_empty() {
             return; // the batch was a net liveness no-op
         }
-        let depth = std::mem::take(&mut self.link_down_depth);
-        let delta = self.routing.update_for_link_change(
+        let delta = self.routing.update_for_link_depths(
             &self.believed_graph,
-            |l| depth[l.index()] == 0,
+            &self.link_down_depth,
             &removed,
             &added,
         );
-        self.link_down_depth = depth;
         if delta.is_empty() {
             return;
         }

@@ -11,9 +11,8 @@
 //!   message heads, subscription filters, PSD/SSD delay requirements);
 //! * [`engine`] — the event-driven simulation core (event queue, link
 //!   occupancy, broker driving, objective tracking);
-//! * [`sched`] — pluggable event schedulers behind the [`EventQueue`]
-//!   trait: the `O(log n)` binary-heap reference and the `O(1)`-amortised
-//!   calendar queue used by default, popping in bit-identical order;
+//! * [`sched`] — the pending-event set, a [`BinaryHeapQueue`] popping in
+//!   deterministic `(time, seq)` order;
 //! * [`scenario`] — dynamic scenarios (subscription churn, publisher
 //!   bursts, link failures, blackouts) materialised into a deterministic
 //!   event stream, plus the name-based [`ScenarioRegistry`];
@@ -34,7 +33,6 @@ pub mod report;
 pub mod runner;
 pub mod scenario;
 pub mod sched;
-pub mod shard;
 pub mod workload;
 
 pub use bdps_net::linkmodel::{LinkModel, LinkModelKind, LinkModelRegistry};
@@ -49,8 +47,7 @@ pub use engine::{
 pub use report::{render_csv, render_markdown_table, LinkReport, PhaseReport, SimulationReport};
 pub use runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
 pub use scenario::{DynamicScenario, ScenarioAction, ScenarioEvent, ScenarioRegistry};
-pub use sched::{BinaryHeapQueue, CalendarQueue, EventQueue, EventQueueKind, Scheduled};
-pub use shard::{run_sharded, try_run_sharded};
+pub use sched::{BinaryHeapQueue, Scheduled};
 pub use workload::{
     ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,
     WorkloadConfig,
@@ -68,7 +65,6 @@ pub mod prelude {
     };
     pub use crate::runner::{run, sweep, SimulationConfig, SweepCell, TopologySpec};
     pub use crate::scenario::{DynamicScenario, ScenarioAction, ScenarioEvent, ScenarioRegistry};
-    pub use crate::sched::{EventQueue, EventQueueKind};
     pub use crate::workload::{
         ArrivalKind, BlackoutWindow, BurstConfig, ChurnConfig, LinkFailureConfig, Scenario,
         WorkloadConfig,

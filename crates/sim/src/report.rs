@@ -57,8 +57,7 @@ impl PhaseReport {
 
 /// Per-link utilisation and queueing metrics of one run, derived from the
 /// engine's [`LinkLoad`] counters. All fields are deterministic: the
-/// underlying counters are integer microseconds, so the sharded executor
-/// reproduces them bit-for-bit.
+/// underlying counters are integer microseconds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LinkReport {
     /// The link's index (see `Topology::graph`).

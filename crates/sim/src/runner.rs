@@ -25,7 +25,6 @@ use crate::builder::SimulationBuilder;
 use crate::engine::{ForwardingMode, RebuildPolicy};
 use crate::report::SimulationReport;
 use crate::scenario::DynamicScenario;
-use crate::sched::EventQueueKind;
 use crate::workload::WorkloadConfig;
 
 /// Which overlay topology a run uses.
@@ -71,9 +70,6 @@ pub struct SimulationConfig {
     /// Dynamic scenario applied to the run (static by default; see
     /// [`crate::scenario`]).
     pub scenario: DynamicScenario,
-    /// Which event-scheduler implementation drives the run (calendar queue
-    /// by default; both pop in identical order, see [`crate::sched`]).
-    pub event_queue: EventQueueKind,
     /// How routing and subscription tables are rebuilt after link events
     /// (incremental by default; both policies yield bit-identical results,
     /// see [`RebuildPolicy`]).
@@ -96,11 +92,6 @@ pub struct SimulationConfig {
     /// pre-existing configs keep their exact-matching meaning.
     #[serde(default)]
     pub forwarding: ForwardingMode,
-    /// How many broker shards advance the event loop (1 = the sequential
-    /// reference loop; N > 1 runs the conservative time-window executor on
-    /// N worker threads, see [`crate::shard`]). Every shard count yields
-    /// bit-identical reports.
-    pub shards: usize,
 }
 
 impl SimulationConfig {
@@ -217,7 +208,19 @@ pub fn sweep(cells: &[SweepCell], threads: usize) -> Vec<(String, SimulationRepo
 fn run_cell(cell: &SweepCell) -> std::result::Result<(String, SimulationReport), String> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(&cell.config)))
         .map(|report| (cell.label.clone(), report))
-        .map_err(crate::shard::panic_message)
+        .map_err(panic_message)
+}
+
+/// The text of a caught panic payload (`&str` and `String` payloads; a
+/// placeholder for anything else).
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
+    }
 }
 
 /// Builds the sweep cells for a strategy × publishing-rate grid over the
@@ -390,7 +393,7 @@ mod tests {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sweep(cells, threads)));
         match outcome {
             Ok(_) => panic!("sweep with a poisoned cell must panic"),
-            Err(payload) => crate::shard::panic_message(payload),
+            Err(payload) => panic_message(payload),
         }
     }
 
@@ -428,28 +431,23 @@ mod tests {
     }
 
     /// The threads=1 and threads=N paths (the two branches the panic fix
-    /// rewired) must agree bit-for-bit, including for cells that themselves
-    /// run the sharded executor.
+    /// rewired) must agree bit-for-bit, cell by cell and in cell order.
     #[test]
-    fn sweep_equality_across_thread_counts_with_sharded_cells() {
-        let cells: Vec<SweepCell> = [1usize, 2, 4]
+    fn sweep_equality_across_thread_counts() {
+        let cells: Vec<SweepCell> = [7u64, 8, 9]
             .iter()
-            .map(|&shards| {
-                let mut cfg = quick_config(StrategyKind::MaxEbpc, 6.0, true, 7);
-                cfg.shards = shards;
-                SweepCell {
-                    label: format!("shards{shards}"),
-                    config: cfg,
-                }
+            .map(|&seed| SweepCell {
+                label: format!("seed{seed}"),
+                config: quick_config(StrategyKind::MaxEbpc, 6.0, true, seed),
             })
             .collect();
         let serial = sweep(&cells, 1);
         let parallel = sweep(&cells, 3);
         assert_eq!(serial, parallel);
-        // The cells only differ in shard count, so the executor-equivalence
-        // invariant makes all three reports identical too.
-        assert_eq!(serial[0].1, serial[1].1);
-        assert_eq!(serial[0].1, serial[2].1);
+        // The cells differ in seed, so a sweep that mixed up its slots
+        // would show here.
+        assert_ne!(serial[0].1, serial[1].1);
+        assert_ne!(serial[1].1, serial[2].1);
     }
 
     #[test]

@@ -1,28 +1,13 @@
-//! Pluggable event schedulers for the discrete-event core.
+//! The event scheduler of the discrete-event core.
 //!
-//! The simulator's pending-event set is the one data structure every single
-//! event passes through. A [`BinaryHeap`] costs `O(log n)` per operation and
-//! its comparison-heavy pops dominate the loop once the horizon holds
-//! hundreds of thousands of events (10⁵-subscriber runs). The classic
-//! alternative is Brown's **calendar queue** (CACM 1988, the scheduler of
-//! most production DES engines): events hash into time-bucketed "days" of a
-//! circular "year", giving `O(1)` amortised enqueue/dequeue as long as the
-//! bucket width tracks the event density — which the implementation
-//! maintains by resizing when the population doubles or collapses.
-//!
-//! Both schedulers implement [`EventQueue`] and pop in **exactly** the same
-//! order — ascending `(time, seq)`, the engine's deterministic tie-break —
-//! so a run is bit-for-bit identical whichever is plugged in; the golden
-//! and property suites assert that. [`EventQueueKind`] selects the
-//! implementation through
-//! [`SimulationBuilder::event_queue`](crate::builder::SimulationBuilder::event_queue)
-//! and is carried by [`SimulationConfig`](crate::runner::SimulationConfig).
+//! The simulator's pending-event set is one [`BinaryHeapQueue`] keyed by
+//! `(time, seq)`: ascending time, then the engine's deterministic
+//! tie-break. Pending events stay in the hundreds even at 10⁵ subscribers,
+//! so a pop costs about ten comparisons.
 
 use bdps_types::time::SimTime;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::fmt;
 
 /// One scheduled event: a payload tagged with its firing time and a `u64`
 /// key (the deterministic tie-break for simultaneous events).
@@ -33,7 +18,7 @@ pub struct Scheduled<T> {
     /// Tie-break key; lower keys pop first among equal times. The engine
     /// derives it canonically from the event's content (see
     /// `engine::key`), so the `(time, seq)` total order is independent of
-    /// scheduling order — and of which shard scheduled the event.
+    /// scheduling order.
     pub seq: u64,
     /// The event payload.
     pub item: T,
@@ -45,61 +30,9 @@ impl<T> Scheduled<T> {
     }
 }
 
-/// The scheduler interface of the simulation engine.
-///
-/// Implementations must pop in ascending `(time, seq)` order — the total
-/// order replays depend on. The engine only ever schedules at or after the
-/// time of the last popped event (a discrete-event simulator cannot
-/// schedule into the past); implementations may rely on that for
-/// amortisation but must stay correct without it.
-pub trait EventQueue<T> {
-    /// Inserts an event.
-    fn push(&mut self, event: Scheduled<T>);
-
-    /// Removes and returns the earliest event if its time is at or before
-    /// `limit`; leaves the queue untouched otherwise.
-    fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<Scheduled<T>>;
-
-    /// Removes and returns the earliest event.
-    fn pop(&mut self) -> Option<Scheduled<T>> {
-        self.pop_if_at_or_before(SimTime::MAX)
-    }
-
-    /// The earliest event's time and payload, without removing it.
-    fn peek(&self) -> Option<(SimTime, &T)>;
-
-    /// Number of pending events.
-    fn len(&self) -> usize;
-
-    /// Returns true when no event is pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Visits every pending event in unspecified order (end-of-run
-    /// accounting of in-flight work).
-    fn for_each(&self, f: &mut dyn FnMut(&Scheduled<T>));
-
-    /// Removes and returns **every** event scheduled at the earliest pending
-    /// time — the *same-instant frontier* — in ascending `seq` order. Returns
-    /// an empty vector when the queue is empty or the earliest event is after
-    /// `limit`.
-    ///
-    /// This is the branching primitive of the model-checking explorer
-    /// (`bdps-mc`): the events of one frontier are exactly the events whose
-    /// relative order the `(time, seq)` tie-break decides arbitrarily, so a
-    /// bounded exhaustive search replays every permutation of each frontier.
-    /// Callers re-insert unconsumed frontier events with
-    /// [`push`](Self::push), preserving their original `seq`.
-    fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<T>>;
-}
-
-// ---------------------------------------------------------------------------
-// Binary heap (the original scheduler, kept as the reference fallback).
-// ---------------------------------------------------------------------------
-
 /// Max-heap wrapper inverting the order so the earliest `(time, seq)` pops
 /// first.
+#[derive(Clone)]
 struct HeapEntry<T>(Scheduled<T>);
 
 impl<T> PartialEq for HeapEntry<T> {
@@ -119,8 +52,9 @@ impl<T> PartialOrd for HeapEntry<T> {
     }
 }
 
-/// The `O(log n)`-per-operation reference scheduler: a [`BinaryHeap`] keyed
-/// by `(time, seq)`.
+/// The pending-event set: a [`BinaryHeap`] that pops in ascending
+/// `(time, seq)` order — the total order replays depend on.
+#[derive(Clone)]
 pub struct BinaryHeapQueue<T> {
     heap: BinaryHeap<HeapEntry<T>>,
 }
@@ -132,6 +66,66 @@ impl<T> BinaryHeapQueue<T> {
             heap: BinaryHeap::new(),
         }
     }
+
+    /// Inserts an event.
+    pub fn push(&mut self, event: Scheduled<T>) {
+        self.heap.push(HeapEntry(event));
+    }
+
+    /// Removes and returns the earliest event if its time is at or before
+    /// `limit`; leaves the queue untouched otherwise.
+    pub fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<Scheduled<T>> {
+        if self.heap.peek()?.0.time > limit {
+            return None;
+        }
+        self.heap.pop().map(|e| e.0)
+    }
+
+    /// The earliest event's time and payload, without removing it.
+    pub fn peek(&self) -> Option<(SimTime, &T)> {
+        self.heap.peek().map(|e| (e.0.time, &e.0.item))
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Returns true when no event is pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Every pending event, in unspecified order (end-of-run accounting of
+    /// in-flight work).
+    pub fn iter(&self) -> impl Iterator<Item = &Scheduled<T>> {
+        self.heap.iter().map(|e| &e.0)
+    }
+
+    /// Removes and returns **every** event scheduled at the earliest pending
+    /// time — the *same-instant frontier* — in ascending `seq` order. Returns
+    /// an empty vector when the queue is empty or the earliest event is after
+    /// `limit`.
+    ///
+    /// This is the branching primitive of the model-checking explorer
+    /// (`bdps-mc`): the events of one frontier are exactly the events whose
+    /// relative order the `(time, seq)` tie-break decides arbitrarily, so a
+    /// bounded exhaustive search replays every permutation of each frontier.
+    /// Callers re-insert unconsumed frontier events with
+    /// [`push`](Self::push), preserving their original `seq`.
+    pub fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<T>> {
+        let mut frontier = Vec::new();
+        let Some((head, _)) = self.peek() else {
+            return frontier;
+        };
+        if head > limit {
+            return frontier;
+        }
+        while let Some(e) = self.pop_if_at_or_before(head) {
+            frontier.push(e);
+        }
+        frontier
+    }
 }
 
 impl<T> Default for BinaryHeapQueue<T> {
@@ -140,358 +134,9 @@ impl<T> Default for BinaryHeapQueue<T> {
     }
 }
 
-impl<T> EventQueue<T> for BinaryHeapQueue<T> {
-    fn push(&mut self, event: Scheduled<T>) {
-        self.heap.push(HeapEntry(event));
-    }
-
-    fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<Scheduled<T>> {
-        if self.heap.peek()?.0.time > limit {
-            return None;
-        }
-        self.heap.pop().map(|e| e.0)
-    }
-
-    fn peek(&self) -> Option<(SimTime, &T)> {
-        self.heap.peek().map(|e| (e.0.time, &e.0.item))
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&Scheduled<T>)) {
-        for e in self.heap.iter() {
-            f(&e.0);
-        }
-    }
-
-    fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<T>> {
-        let mut frontier = Vec::new();
-        let Some((head, _)) = self.peek() else {
-            return frontier;
-        };
-        if head > limit {
-            return frontier;
-        }
-        while let Some(e) = self.pop_if_at_or_before(head) {
-            frontier.push(e);
-        }
-        frontier
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Calendar queue.
-// ---------------------------------------------------------------------------
-
-/// Smallest number of buckets (power of two for mask-based indexing).
-const MIN_BUCKETS: usize = 16;
-/// Bucket width the queue starts with before any density estimate exists
-/// (1 ms in simulation time).
-const INITIAL_WIDTH_MICROS: u64 = 1_000;
-
-/// Brown's calendar queue: `O(1)` amortised push/pop.
-///
-/// Events hash by time into one of `n` buckets of `width` microseconds (a
-/// "day"); the `n · width` span is a "year". Each bucket keeps its events
-/// sorted by `(time, seq)`, so with the width tuned to the event density a
-/// bucket holds `O(1)` events and both operations touch `O(1)` of them. A
-/// pop scans at most one year of days from the cursor before falling back to
-/// a direct minimum search (handles sparse tails); pushes and pops trigger a
-/// resize — doubling or halving the bucket count and re-estimating the width
-/// from the live span — whenever the population outgrows or underflows the
-/// current calendar.
-pub struct CalendarQueue<T> {
-    buckets: Vec<Vec<Scheduled<T>>>,
-    /// Power of two; `bucket_mask = buckets.len() - 1`.
-    bucket_mask: usize,
-    /// Bucket width in microseconds (≥ 1).
-    width: u64,
-    count: usize,
-    /// The day the cursor is on.
-    cursor_bucket: usize,
-    /// Exclusive upper time edge of the cursor's day in the current year.
-    cursor_top: u64,
-    /// Consecutive pops that needed the direct-search fallback — a sign the
-    /// bucket width is stale (too narrow for the live event spacing), which
-    /// happens when the population stays level so no resize re-estimates it.
-    sparse_pops: u32,
-}
-
-/// Direct-search fallbacks tolerated before the width is re-estimated.
-const SPARSE_POPS_BEFORE_REWIDTH: u32 = 8;
-
-/// Where [`CalendarQueue::find_next`] located the minimum event.
-struct Found {
-    bucket: usize,
-    cursor_bucket: usize,
-    cursor_top: u64,
-    /// True when the year scan came up empty and the direct search ran.
-    fallback: bool,
-}
-
-impl<T> CalendarQueue<T> {
-    /// Creates an empty calendar queue.
-    pub fn new() -> Self {
-        CalendarQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            bucket_mask: MIN_BUCKETS - 1,
-            width: INITIAL_WIDTH_MICROS,
-            count: 0,
-            cursor_bucket: 0,
-            cursor_top: INITIAL_WIDTH_MICROS,
-            sparse_pops: 0,
-        }
-    }
-
-    fn bucket_of(&self, micros: u64) -> usize {
-        ((micros / self.width) as usize) & self.bucket_mask
-    }
-
-    /// Locates the next event to pop without mutating anything: first a scan
-    /// of at most one year of days starting at the cursor, then a direct
-    /// minimum search over all bucket heads for sparse calendars.
-    fn find_next(&self) -> Option<Found> {
-        if self.count == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        let mut bucket = self.cursor_bucket;
-        let mut top = self.cursor_top;
-        for _ in 0..n {
-            if let Some(head) = self.buckets[bucket].first() {
-                if head.time.as_micros() < top {
-                    return Some(Found {
-                        bucket,
-                        cursor_bucket: bucket,
-                        cursor_top: top,
-                        fallback: false,
-                    });
-                }
-            }
-            bucket = (bucket + 1) & self.bucket_mask;
-            top = top.saturating_add(self.width);
-        }
-        // Nothing due within a year of the cursor: jump straight to the
-        // global minimum (every bucket head is a candidate because buckets
-        // are sorted).
-        let (bucket, head_time) = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, b)| b.first().map(|h| (i, h.key())))
-            .min_by_key(|&(_, key)| key)
-            .map(|(i, (t, _))| (i, t.as_micros()))
-            .expect("count > 0 implies a non-empty bucket");
-        let cursor_top = (head_time / self.width)
-            .saturating_add(1)
-            .saturating_mul(self.width);
-        Some(Found {
-            bucket,
-            cursor_bucket: self.bucket_of(head_time),
-            cursor_top,
-            fallback: true,
-        })
-    }
-
-    /// Doubles or halves the calendar and re-estimates the bucket width so
-    /// the live events spread to about one per day.
-    fn resize(&mut self, new_len: usize) {
-        let mut events: Vec<Scheduled<T>> = Vec::with_capacity(self.count);
-        for bucket in &mut self.buckets {
-            events.append(bucket);
-        }
-        let (min_t, max_t) = events.iter().fold((u64::MAX, 0u64), |(lo, hi), e| {
-            let t = e.time.as_micros();
-            (lo.min(t), hi.max(t))
-        });
-        let span = max_t.saturating_sub(min_t);
-        self.width = (span / events.len().max(1) as u64).max(1);
-        self.buckets = (0..new_len).map(|_| Vec::new()).collect();
-        self.bucket_mask = new_len - 1;
-        self.sparse_pops = 0;
-        // Re-anchor the cursor at the earliest live event (or keep time zero
-        // for an empty calendar).
-        let anchor = if events.is_empty() { 0 } else { min_t };
-        self.cursor_bucket = self.bucket_of(anchor);
-        self.cursor_top = (anchor / self.width + 1).saturating_mul(self.width);
-        let count = self.count;
-        for event in events {
-            self.insert(event);
-        }
-        self.count = count;
-    }
-
-    /// Inserts into the right bucket, keeping it sorted by `(time, seq)`.
-    fn insert(&mut self, event: Scheduled<T>) {
-        let idx = self.bucket_of(event.time.as_micros());
-        let bucket = &mut self.buckets[idx];
-        let key = event.key();
-        let pos = bucket.partition_point(|e| e.key() < key);
-        bucket.insert(pos, event);
-    }
-}
-
-impl<T> Default for CalendarQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> EventQueue<T> for CalendarQueue<T> {
-    fn push(&mut self, event: Scheduled<T>) {
-        let micros = event.time.as_micros();
-        self.insert(event);
-        self.count += 1;
-        // An event scheduled on a day before the cursor's would be invisible
-        // to the year scan (which only looks forward): pull the cursor back
-        // to that day. Happens when earlier-time events are enqueued after a
-        // resize anchored the cursor further ahead — e.g. publisher seeds
-        // pushed after a far-future scenario stream at construction. The
-        // guard is "micros lies on a day strictly before the cursor's",
-        // i.e. `micros < cursor_top - width`, rearranged so the subtraction
-        // cannot underflow when `cursor_top < width` (a t=0-anchored cursor
-        // after a wide resize): saturating the subtraction instead would
-        // clamp the threshold to 0 and misclassify early enqueues.
-        if micros.saturating_add(self.width) < self.cursor_top {
-            self.cursor_bucket = self.bucket_of(micros);
-            self.cursor_top = (micros / self.width)
-                .saturating_add(1)
-                .saturating_mul(self.width);
-        }
-        if self.count > 2 * self.buckets.len() {
-            let new_len = self.buckets.len() * 2;
-            self.resize(new_len);
-        }
-    }
-
-    fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<Scheduled<T>> {
-        if self.sparse_pops >= SPARSE_POPS_BEFORE_REWIDTH && self.count > 0 {
-            // The year scan keeps missing: the width no longer matches the
-            // live event spacing (the population stayed level, so no resize
-            // refreshed it). Re-estimate at the current bucket count.
-            let len = self.buckets.len();
-            self.resize(len);
-        }
-        let found = self.find_next()?;
-        if found.fallback {
-            self.sparse_pops += 1;
-        } else {
-            self.sparse_pops = 0;
-        }
-        let head_time = self.buckets[found.bucket]
-            .first()
-            .expect("find_next returned a non-empty bucket")
-            .time;
-        if head_time > limit {
-            return None;
-        }
-        // Commit the cursor so the next scan resumes where this one ended.
-        self.cursor_bucket = found.cursor_bucket;
-        self.cursor_top = found.cursor_top;
-        let event = self.buckets[found.bucket].remove(0);
-        self.count -= 1;
-        if self.buckets.len() > MIN_BUCKETS && self.count < self.buckets.len() / 4 {
-            let new_len = (self.buckets.len() / 2).max(MIN_BUCKETS);
-            self.resize(new_len);
-        }
-        Some(event)
-    }
-
-    fn peek(&self) -> Option<(SimTime, &T)> {
-        let found = self.find_next()?;
-        self.buckets[found.bucket]
-            .first()
-            .map(|e| (e.time, &e.item))
-    }
-
-    fn len(&self) -> usize {
-        self.count
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&Scheduled<T>)) {
-        for bucket in &self.buckets {
-            for e in bucket {
-                f(e);
-            }
-        }
-    }
-
-    fn take_frontier(&mut self, limit: SimTime) -> Vec<Scheduled<T>> {
-        let mut frontier = Vec::new();
-        let Some((head, _)) = self.peek() else {
-            return frontier;
-        };
-        if head > limit {
-            return frontier;
-        }
-        // Same-instant events hash into the same day and buckets are kept
-        // sorted, so after the first pop locates the day the rest of the
-        // frontier drains from the front of one bucket.
-        while let Some(e) = self.pop_if_at_or_before(head) {
-            frontier.push(e);
-        }
-        frontier
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Selection.
-// ---------------------------------------------------------------------------
-
-/// Which scheduler implementation a simulation uses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EventQueueKind {
-    /// The original [`BinaryHeapQueue`] (`O(log n)` per operation).
-    BinaryHeap,
-    /// The [`CalendarQueue`] (`O(1)` amortised) — the default.
-    #[default]
-    Calendar,
-}
-
-impl EventQueueKind {
-    /// Every selectable kind, in comparison order for benches.
-    pub const ALL: [EventQueueKind; 2] = [EventQueueKind::BinaryHeap, EventQueueKind::Calendar];
-
-    /// Stable CLI/report name (`"heap"` / `"calendar"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            EventQueueKind::BinaryHeap => "heap",
-            EventQueueKind::Calendar => "calendar",
-        }
-    }
-
-    /// Resolves a CLI name (case-insensitive; `"heap"`, `"binary-heap"`,
-    /// `"calendar"`, `"cq"`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
-            "heap" | "binary-heap" | "binaryheap" => Some(EventQueueKind::BinaryHeap),
-            "calendar" | "calendar-queue" | "cq" => Some(EventQueueKind::Calendar),
-            _ => None,
-        }
-    }
-
-    /// Instantiates an empty scheduler of this kind. The queue is `Send` so
-    /// the sharded executor can hand per-shard queues to worker threads.
-    pub fn create<T: Send + 'static>(self) -> Box<dyn EventQueue<T> + Send> {
-        match self {
-            EventQueueKind::BinaryHeap => Box::new(BinaryHeapQueue::new()),
-            EventQueueKind::Calendar => Box::new(CalendarQueue::new()),
-        }
-    }
-}
-
-impl fmt::Display for EventQueueKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bdps_stats::rng::SimRng;
 
     fn ev(time_us: u64, seq: u64) -> Scheduled<u64> {
         Scheduled {
@@ -501,282 +146,103 @@ mod tests {
         }
     }
 
-    fn drain<T>(q: &mut dyn EventQueue<T>) -> Vec<(SimTime, u64)> {
+    fn drain<T>(q: &mut BinaryHeapQueue<T>) -> Vec<(SimTime, u64)> {
         let mut out = Vec::new();
-        while let Some(e) = q.pop() {
+        while let Some(e) = q.pop_if_at_or_before(SimTime::MAX) {
             out.push((e.time, e.seq));
         }
         out
     }
 
     #[test]
-    fn both_kinds_pop_in_time_then_seq_order() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
-            q.push(ev(50, 3));
-            q.push(ev(10, 4));
-            q.push(ev(50, 1));
-            q.push(ev(10, 2));
-            q.push(ev(0, 5));
-            let order = drain(q.as_mut());
-            let mut sorted = order.clone();
-            sorted.sort();
-            assert_eq!(order, sorted, "{}", kind.name());
-            assert_eq!(order.len(), 5);
-            assert_eq!(order[0], (SimTime::ZERO, 5));
-        }
+    fn pops_in_time_then_seq_order() {
+        let mut q = BinaryHeapQueue::new();
+        q.push(ev(50, 3));
+        q.push(ev(10, 4));
+        q.push(ev(50, 1));
+        q.push(ev(10, 2));
+        q.push(ev(0, 5));
+        let order = drain(&mut q);
+        let mut sorted = order.clone();
+        sorted.sort();
+        assert_eq!(order, sorted);
+        assert_eq!(order.len(), 5);
+        assert_eq!(order[0], (SimTime::ZERO, 5));
     }
 
     #[test]
     fn pop_respects_the_limit() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
-            q.push(ev(100, 1));
-            q.push(ev(300, 2));
-            assert!(
-                q.pop_if_at_or_before(SimTime::from_micros(50)).is_none(),
-                "{}",
-                kind.name()
-            );
-            assert_eq!(q.len(), 2);
-            let first = q.pop_if_at_or_before(SimTime::from_micros(100)).unwrap();
-            assert_eq!(first.seq, 1);
-            assert!(q.pop_if_at_or_before(SimTime::from_micros(100)).is_none());
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = BinaryHeapQueue::new();
+        q.push(ev(100, 1));
+        q.push(ev(300, 2));
+        assert!(q.pop_if_at_or_before(SimTime::from_micros(50)).is_none());
+        assert_eq!(q.len(), 2);
+        let first = q.pop_if_at_or_before(SimTime::from_micros(100)).unwrap();
+        assert_eq!(first.seq, 1);
+        assert!(q.pop_if_at_or_before(SimTime::from_micros(100)).is_none());
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn peek_matches_pop_and_never_removes() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
-            assert!(q.peek().is_none());
-            q.push(ev(70, 1));
-            q.push(ev(20, 2));
-            let (t, item) = q.peek().expect("non-empty");
-            assert_eq!((t, *item), (SimTime::from_micros(20), 2));
-            assert_eq!(q.len(), 2);
-            assert_eq!(q.pop().unwrap().seq, 2, "{}", kind.name());
-        }
+        let mut q = BinaryHeapQueue::new();
+        assert!(q.peek().is_none());
+        q.push(ev(70, 1));
+        q.push(ev(20, 2));
+        let (t, item) = q.peek().expect("non-empty");
+        assert_eq!((t, *item), (SimTime::from_micros(20), 2));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_if_at_or_before(SimTime::MAX).unwrap().seq, 2);
     }
 
     #[test]
-    fn for_each_visits_every_pending_event() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
-            for seq in 0..100 {
-                q.push(ev(seq * 37 % 1000, seq));
-            }
-            let mut seen = 0u64;
-            q.for_each(&mut |e| seen += e.item);
-            assert_eq!(seen, (0..100).sum::<u64>(), "{}", kind.name());
+    fn iter_visits_every_pending_event() {
+        let mut q = BinaryHeapQueue::new();
+        for seq in 0..100 {
+            q.push(ev(seq * 37 % 1000, seq));
         }
-    }
-
-    /// The headline property: the calendar queue replays the heap's order
-    /// exactly under an interleaved, clustered, monotone-pop workload shaped
-    /// like the simulator's (pushes only at or after the last popped time).
-    #[test]
-    fn calendar_and_heap_orders_are_identical() {
-        for seed in 1..=5u64 {
-            let mut rng = SimRng::seed_from(seed);
-            let mut heap = BinaryHeapQueue::new();
-            let mut calendar = CalendarQueue::new();
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            let mut heap_order = Vec::new();
-            let mut calendar_order = Vec::new();
-            // Far-future batch first (a materialised scenario stream), so
-            // later near-term pushes land behind the resize-anchored cursor
-            // — the regression the engine's blackout scenario caught.
-            for k in 0..50 {
-                seq += 1;
-                let e = ev(120_000_000 + k * 1_000_000, seq);
-                heap.push(e.clone());
-                calendar.push(e);
-            }
-            for _ in 0..5_000 {
-                let burst = rng.uniform_usize(0, 4);
-                for _ in 0..burst {
-                    seq += 1;
-                    // Clustered offsets: many ties, a few far-future tails.
-                    let offset = match rng.uniform_usize(0, 10) {
-                        0 => 0,
-                        1..=6 => rng.uniform_usize(0, 2_000) as u64,
-                        _ => rng.uniform_usize(0, 2_000_000) as u64,
-                    };
-                    let e = ev(now + offset, seq);
-                    heap.push(e.clone());
-                    calendar.push(e);
-                }
-                if rng.uniform_usize(0, 3) > 0 {
-                    let a = heap.pop();
-                    let b = calendar.pop();
-                    match (a, b) {
-                        (None, None) => {}
-                        (Some(a), Some(b)) => {
-                            assert_eq!(a.key(), b.key(), "seed {seed}");
-                            now = a.time.as_micros();
-                            heap_order.push(a.key());
-                            calendar_order.push(b.key());
-                        }
-                        (a, b) => panic!(
-                            "queues disagree on emptiness: heap={:?} calendar={:?}",
-                            a.map(|e| e.key()),
-                            b.map(|e| e.key())
-                        ),
-                    }
-                }
-            }
-            let rest_a = drain(&mut heap);
-            let rest_b = drain(&mut calendar);
-            assert_eq!(rest_a, rest_b, "seed {seed}");
-            assert_eq!(heap_order, calendar_order, "seed {seed}");
-        }
-    }
-
-    /// Regression for the cursor pull-back guard (the `cursor_top - width`
-    /// threshold used to be computed with a saturating subtraction, which
-    /// clamps to 0 whenever `cursor_top < width` and silently skips the
-    /// pull-back): events enqueued at t=0 *after* pops have advanced the
-    /// cursor far past the first day must still pop in exact heap order.
-    #[test]
-    fn t0_enqueues_behind_an_advanced_cursor_match_the_heap() {
-        let mut heap = BinaryHeapQueue::new();
-        let mut calendar = CalendarQueue::new();
-        let mut seq = 0u64;
-        for k in 0..100u64 {
-            seq += 1;
-            let e = ev(10_000 + k * 1_000, seq);
-            heap.push(e.clone());
-            calendar.push(e);
-        }
-        // Drain most of the population so the committed cursor sits many
-        // days past t=0 (and shrink resizes re-anchor it along the way).
-        for _ in 0..80 {
-            let a = heap.pop().expect("heap has events");
-            let b = calendar.pop().expect("calendar has events");
-            assert_eq!(a.key(), b.key());
-        }
-        // Now enqueue at and around t=0 — a day strictly before the
-        // cursor's, exactly the pull-back case.
-        for t in [0u64, 0, 1, 5, 0, 3] {
-            seq += 1;
-            let e = ev(t, seq);
-            heap.push(e.clone());
-            calendar.push(e);
-        }
-        assert_eq!(drain(&mut heap), drain(&mut calendar));
-    }
-
-    /// The construction-order variant: a sparse far-future stream first
-    /// (forcing growth resizes that re-estimate a huge bucket width, the
-    /// regime where `cursor_top` and `width` are closest), then a burst of
-    /// t=0 enqueues that must surface before everything else.
-    #[test]
-    fn wide_resize_then_t0_burst_matches_the_heap() {
-        let mut heap = BinaryHeapQueue::new();
-        let mut calendar = CalendarQueue::new();
-        let mut seq = 0u64;
-        for k in 0..40u64 {
-            seq += 1;
-            let e = ev(3_600_000_000 * (k + 1), seq);
-            heap.push(e.clone());
-            calendar.push(e);
-        }
-        for _ in 0..10 {
-            seq += 1;
-            let e = ev(0, seq);
-            heap.push(e.clone());
-            calendar.push(e);
-        }
-        let order = drain(&mut calendar);
-        assert_eq!(order, drain(&mut heap));
-        assert!(
-            order[..10].iter().all(|&(t, _)| t == SimTime::ZERO),
-            "the t=0 burst must pop first: {order:?}"
-        );
+        assert_eq!(q.iter().map(|e| e.item).sum::<u64>(), (0..100).sum());
     }
 
     #[test]
-    fn calendar_resizes_up_and_down_without_losing_events() {
-        let mut q = CalendarQueue::new();
-        for seq in 0..10_000u64 {
-            q.push(ev(seq * 13, seq));
+    fn clone_pops_in_the_same_order() {
+        let mut q = BinaryHeapQueue::new();
+        for seq in 0..200 {
+            q.push(ev(seq * 7919 % 500, seq));
         }
-        assert_eq!(q.len(), 10_000);
-        assert!(q.buckets.len() > MIN_BUCKETS, "must have grown");
-        let order = drain(&mut q);
-        assert_eq!(order.len(), 10_000);
-        assert!(order.windows(2).all(|w| w[0] < w[1]), "strictly ascending");
-        assert_eq!(q.buckets.len(), MIN_BUCKETS, "must have shrunk back");
-        assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn sparse_far_future_events_are_found() {
-        let mut q = CalendarQueue::new();
-        // One event years beyond the initial calendar span.
-        q.push(ev(10_000_000_000, 1));
-        q.push(ev(5, 2));
-        assert_eq!(q.pop().unwrap().seq, 2);
-        assert_eq!(q.pop().unwrap().seq, 1, "direct search must find the tail");
-        assert!(q.pop().is_none());
+        let mut branch = q.clone();
+        assert_eq!(drain(&mut branch), drain(&mut q));
     }
 
     #[test]
     fn take_frontier_returns_all_same_instant_events_in_seq_order() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
-            q.push(ev(100, 3));
-            q.push(ev(100, 1));
-            q.push(ev(200, 2));
-            q.push(ev(100, 4));
-            let frontier = q.take_frontier(SimTime::MAX);
-            assert_eq!(
-                frontier.iter().map(|e| e.seq).collect::<Vec<_>>(),
-                vec![1, 3, 4],
-                "{}",
-                kind.name()
-            );
-            assert!(frontier.iter().all(|e| e.time.as_micros() == 100));
-            assert_eq!(q.len(), 1, "{}", kind.name());
-            // Re-inserting with the original seq restores the pop order.
-            for e in frontier {
-                q.push(e);
-            }
-            assert_eq!(q.pop().unwrap().seq, 1, "{}", kind.name());
+        let mut q = BinaryHeapQueue::new();
+        q.push(ev(100, 3));
+        q.push(ev(100, 1));
+        q.push(ev(200, 2));
+        q.push(ev(100, 4));
+        let frontier = q.take_frontier(SimTime::MAX);
+        assert_eq!(
+            frontier.iter().map(|e| e.seq).collect::<Vec<_>>(),
+            vec![1, 3, 4]
+        );
+        assert!(frontier.iter().all(|e| e.time.as_micros() == 100));
+        assert_eq!(q.len(), 1);
+        // Re-inserting with the original seq restores the pop order.
+        for e in frontier {
+            q.push(e);
         }
+        assert_eq!(q.pop_if_at_or_before(SimTime::MAX).unwrap().seq, 1);
     }
 
     #[test]
     fn take_frontier_respects_the_limit_and_empty_queue() {
-        for kind in EventQueueKind::ALL {
-            let mut q = kind.create::<u64>();
-            assert!(q.take_frontier(SimTime::MAX).is_empty(), "{}", kind.name());
-            q.push(ev(500, 1));
-            assert!(
-                q.take_frontier(SimTime::from_micros(499)).is_empty(),
-                "{}",
-                kind.name()
-            );
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.take_frontier(SimTime::from_micros(500)).len(), 1);
-            assert!(q.is_empty(), "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for kind in EventQueueKind::ALL {
-            assert_eq!(EventQueueKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(
-            EventQueueKind::from_name("CQ"),
-            Some(EventQueueKind::Calendar)
-        );
-        assert!(EventQueueKind::from_name("bogus").is_none());
-        assert_eq!(EventQueueKind::default(), EventQueueKind::Calendar);
-        assert_eq!(EventQueueKind::Calendar.to_string(), "calendar");
+        let mut q = BinaryHeapQueue::new();
+        assert!(q.take_frontier(SimTime::MAX).is_empty());
+        q.push(ev(500, 1));
+        assert!(q.take_frontier(SimTime::from_micros(499)).is_empty());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.take_frontier(SimTime::from_micros(500)).len(), 1);
+        assert!(q.is_empty());
     }
 }

@@ -12,21 +12,20 @@
 //!
 //! This test pins those counts exactly, replicating `run_cell` from
 //! `crates/bench/src/bin/scale.rs` (mesh_for(992) → layers [4,4,15,31],
-//! 32 subscribers per edge, ssd 30/min, 300 s, EB strategy, calendar
-//! queue, incremental rebuilds, sparse tables, constant links, seed 42).
+//! 32 subscribers per edge, ssd 30/min, 300 s, EB strategy, incremental
+//! rebuilds, sparse tables, constant links, seed 42).
 //! Any change that silently alters congested aggregate behaviour —
 //! envelope folds, stamping, strategy scoring over stamped copies,
 //! shedding — shows up as a loud diff instead of a quiet drift. When a
 //! change is *intended* to shift these numbers, rerun the bench cell
 //! (`cargo run --release -p bdps-bench --bin scale -- --populations 992
-//! --scenarios churn --queues calendar --passes 1 --table-layout sparse
+//! --scenarios churn --passes 1 --table-layout sparse
 //! --forwarding exact,aggregate --seed 42`) and update the table in the
 //! same commit.
 
 use bdps::overlay::sparse::TableLayout;
 use bdps::overlay::topology::LayeredMeshConfig;
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 
 #[derive(Debug, PartialEq, Eq)]
 struct Golden {
@@ -56,7 +55,6 @@ fn congested_run(forwarding: ForwardingMode) -> SimulationReport {
         .strategy(StrategyKind::MaxEb)
         .scenario_named("churn")
         .expect("churn is builtin")
-        .event_queue(EventQueueKind::Calendar)
         .rebuild_policy(RebuildPolicy::Incremental)
         .table_layout(TableLayout::Sparse)
         .link_model(LinkModelKind::Constant)

@@ -9,7 +9,7 @@
 //! per-phase counters may legitimately differ. What must never differ is
 //! the *delivery set*: the exact set of `(message, subscriber)` pairs
 //! delivered, and with it the total earning. This suite holds aggregate
-//! forwarding to that claim across {scenario × scheduler × rebuild policy}
+//! forwarding to that claim across {scenario × rebuild policy}
 //! seeds, with the exact mode (both layouts) as the oracle.
 //!
 //! The sweep runs on uncongested fixed-rate links so that no copy expires
@@ -20,8 +20,6 @@
 
 use bdps::overlay::topology::{LayeredMeshConfig, Topology};
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
-use bdps::sim::try_run_sharded;
 
 mod common;
 use common::delivered_pairs;
@@ -41,7 +39,6 @@ fn build(
     forwarding: ForwardingMode,
     layout: TableLayout,
     policy: RebuildPolicy,
-    queue: EventQueueKind,
     seed: u64,
 ) -> Simulation {
     let mut workload = WorkloadConfig::paper_ssd(8.0);
@@ -57,7 +54,6 @@ fn build(
     )
     .with_table_layout(layout)
     .with_rebuild_policy(policy)
-    .with_event_queue(queue)
     .with_forwarding(forwarding)
 }
 
@@ -68,7 +64,7 @@ fn audited(sim: Simulation) -> SimulationOutcome {
     outcome
 }
 
-/// The tentpole oracle: for every {scenario × policy × scheduler × seed}
+/// The tentpole oracle: for every {scenario × policy × seed}
 /// point, aggregate forwarding over the sparse layout delivers exactly the
 /// `(message, subscriber)` pairs — and earns exactly the money — of exact
 /// forwarding over both layouts.
@@ -82,77 +78,67 @@ fn aggregate_forwarding_preserves_delivery_set_and_earning() {
     ];
     for (scenario_name, scenario) in &scenarios {
         for policy in RebuildPolicy::ALL {
-            for queue in EventQueueKind::ALL {
-                for seed in 1..=4u64 {
-                    let exact = audited(build(
-                        scenario,
-                        ForwardingMode::Exact,
-                        TableLayout::Sparse,
-                        policy,
-                        queue,
-                        seed,
-                    ));
-                    let aggregate = audited(build(
-                        scenario,
-                        ForwardingMode::Aggregate,
-                        TableLayout::Sparse,
-                        policy,
-                        queue,
-                        seed,
-                    ));
-                    let dense = audited(build(
-                        scenario,
-                        ForwardingMode::Exact,
-                        TableLayout::Dense,
-                        policy,
-                        queue,
-                        seed,
-                    ));
+            for seed in 1..=4u64 {
+                let exact = audited(build(
+                    scenario,
+                    ForwardingMode::Exact,
+                    TableLayout::Sparse,
+                    policy,
+                    seed,
+                ));
+                let aggregate = audited(build(
+                    scenario,
+                    ForwardingMode::Aggregate,
+                    TableLayout::Sparse,
+                    policy,
+                    seed,
+                ));
+                let dense = audited(build(
+                    scenario,
+                    ForwardingMode::Exact,
+                    TableLayout::Dense,
+                    policy,
+                    seed,
+                ));
 
-                    let pairs = delivered_pairs(&exact);
-                    let ctx = format!(
-                        "({scenario_name}, seed {seed}, {} policy, {} queue)",
-                        policy.name(),
-                        queue.name()
-                    );
-                    // Meaningful run: something delivered, nothing expired or
-                    // shed in the oracle — otherwise the equality is vacuous.
-                    assert!(!pairs.is_empty(), "oracle delivered nothing {ctx}");
-                    assert_eq!(exact.dropped_expired(), 0, "oracle congested {ctx}");
-                    assert_eq!(exact.dropped_unlikely(), 0, "oracle shed copies {ctx}");
-                    assert_eq!(exact.tracker.total_late(), 0, "oracle ran late {ctx}");
+                let pairs = delivered_pairs(&exact);
+                let ctx = format!("({scenario_name}, seed {seed}, {} policy)", policy.name(),);
+                // Meaningful run: something delivered, nothing expired or
+                // shed in the oracle — otherwise the equality is vacuous.
+                assert!(!pairs.is_empty(), "oracle delivered nothing {ctx}");
+                assert_eq!(exact.dropped_expired(), 0, "oracle congested {ctx}");
+                assert_eq!(exact.dropped_unlikely(), 0, "oracle shed copies {ctx}");
+                assert_eq!(exact.tracker.total_late(), 0, "oracle ran late {ctx}");
 
-                    assert_eq!(
-                        pairs,
-                        delivered_pairs(&aggregate),
-                        "aggregate forwarding changed the delivery set {ctx}"
-                    );
-                    assert_eq!(
-                        pairs,
-                        delivered_pairs(&dense),
-                        "dense oracle disagrees with the sparse oracle {ctx}"
-                    );
-                    assert_eq!(
-                        exact.tracker.total_earning(),
-                        aggregate.tracker.total_earning(),
-                        "aggregate forwarding changed the earning {ctx}"
-                    );
-                    assert_eq!(
-                        aggregate.tracker.total_late(),
-                        0,
-                        "aggregate ran late while the oracle did not {ctx}"
-                    );
-                    // Exact mode never records false-positive traffic.
-                    assert_eq!(exact.false_positive_forwards(), 0);
-                    assert_eq!(exact.false_positive_drops_at_edge(), 0);
-                    // Every false-positive forward ends as an edge drop, so
-                    // the forward count is bounded by the drop count.
-                    assert!(
-                        aggregate.false_positive_forwards()
-                            <= aggregate.false_positive_drops_at_edge(),
-                        "unaccounted false-positive traffic {ctx}"
-                    );
-                }
+                assert_eq!(
+                    pairs,
+                    delivered_pairs(&aggregate),
+                    "aggregate forwarding changed the delivery set {ctx}"
+                );
+                assert_eq!(
+                    pairs,
+                    delivered_pairs(&dense),
+                    "dense oracle disagrees with the sparse oracle {ctx}"
+                );
+                assert_eq!(
+                    exact.tracker.total_earning(),
+                    aggregate.tracker.total_earning(),
+                    "aggregate forwarding changed the earning {ctx}"
+                );
+                assert_eq!(
+                    aggregate.tracker.total_late(),
+                    0,
+                    "aggregate ran late while the oracle did not {ctx}"
+                );
+                // Exact mode never records false-positive traffic.
+                assert_eq!(exact.false_positive_forwards(), 0);
+                assert_eq!(exact.false_positive_drops_at_edge(), 0);
+                // Every false-positive forward ends as an edge drop, so
+                // the forward count is bounded by the drop count.
+                assert!(
+                    aggregate.false_positive_forwards() <= aggregate.false_positive_drops_at_edge(),
+                    "unaccounted false-positive traffic {ctx}"
+                );
             }
         }
     }
@@ -191,27 +177,10 @@ fn aggregate_forwarding_rejects_the_dense_layout() {
         ForwardingMode::Aggregate,
         TableLayout::Dense,
         RebuildPolicy::Full,
-        EventQueueKind::Calendar,
         1,
     );
     match sim.try_run() {
         Err(SimError::AggregateForwardingNeedsSparseLayout) => {}
         other => panic!("dense aggregate run must be rejected, got {other:?}"),
-    }
-}
-
-#[test]
-fn aggregate_forwarding_rejects_sharded_execution() {
-    let sim = build(
-        &DynamicScenario::static_scenario(),
-        ForwardingMode::Aggregate,
-        TableLayout::Sparse,
-        RebuildPolicy::Full,
-        EventQueueKind::Calendar,
-        1,
-    );
-    match try_run_sharded(sim, 2) {
-        Err(SimError::ShardedForwardingUnsupported) => {}
-        other => panic!("sharded aggregate run must be rejected, got {other:?}"),
     }
 }

@@ -13,15 +13,14 @@
 //! and require the *entire* [`SimulationReport`] — per-phase breakdowns
 //! included — to be equal.
 //!
-//! The layout axis is crossed with the two existing differential axes —
-//! rebuild policy and event scheduler — because the sparse layout rewrites
-//! exactly the paths those axes exercise: link events patch aggregates
-//! instead of per-subscription entries, and churn updates the shared
-//! registry instead of every broker's table. A drift that only shows up
-//! under (sparse × incremental × calendar) must still fail loudly here.
+//! The layout axis is crossed with the rebuild-policy axis because the
+//! sparse layout rewrites exactly the paths that axis exercises: link
+//! events patch aggregates instead of per-subscription entries, and churn
+//! updates the shared registry instead of every broker's table. A drift
+//! that only shows up under (sparse × incremental) must still fail loudly
+//! here.
 
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 
 mod common;
 use common::{delivered_pairs, flap_storm, small_mesh_link_count};
@@ -30,7 +29,6 @@ fn report(
     scenario: &DynamicScenario,
     layout: TableLayout,
     policy: RebuildPolicy,
-    queue: EventQueueKind,
     seed: u64,
 ) -> SimulationReport {
     Simulation::builder()
@@ -41,15 +39,13 @@ fn report(
         .scenario(scenario.clone())
         .table_layout(layout)
         .rebuild_policy(policy)
-        .event_queue(queue)
         .seed(seed)
         .report()
 }
 
 /// Runs one scenario over a seed range and asserts dense-vs-sparse report
-/// equality, crossed with both event schedulers and both rebuild policies
-/// (every combination must reproduce the dense report of the same
-/// scheduler × policy cell).
+/// equality under both rebuild policies (each policy's sparse report must
+/// reproduce its dense report).
 fn assert_layouts_agree(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
     let registry = ScenarioRegistry::builtin();
     let scenario = registry
@@ -57,18 +53,15 @@ fn assert_layouts_agree(scenario_name: &str, seeds: std::ops::RangeInclusive<u64
         .unwrap_or_else(|| panic!("{scenario_name} is a builtin scenario"));
     for seed in seeds {
         for policy in RebuildPolicy::ALL {
-            for queue in EventQueueKind::ALL {
-                let dense = report(&scenario, TableLayout::Dense, policy, queue, seed);
-                let sparse = report(&scenario, TableLayout::Sparse, policy, queue, seed);
-                assert_eq!(
-                    dense,
-                    sparse,
-                    "sparse layout drifted from the dense-table oracle \
-                     ({scenario_name}, seed {seed}, {} policy, {} queue)",
-                    policy.name(),
-                    queue.name()
-                );
-            }
+            let dense = report(&scenario, TableLayout::Dense, policy, seed);
+            let sparse = report(&scenario, TableLayout::Sparse, policy, seed);
+            assert_eq!(
+                dense,
+                sparse,
+                "sparse layout drifted from the dense-table oracle \
+                     ({scenario_name}, seed {seed}, {} policy)",
+                policy.name(),
+            );
         }
     }
 }
@@ -104,31 +97,22 @@ fn chaos_reports_are_layout_independent_on_seeds_1_to_10() {
 
 #[test]
 fn chaos_is_layout_policy_and_scheduler_independent() {
-    // The full cross: every layout × rebuild policy × event scheduler
-    // combination must reproduce one reference report.
+    // The full cross: every layout × rebuild policy combination must
+    // reproduce one reference report.
     let registry = ScenarioRegistry::builtin();
     let chaos = registry.resolve("chaos").expect("chaos is builtin");
     for seed in [4u64, 9] {
-        let reference = report(
-            &chaos,
-            TableLayout::Dense,
-            RebuildPolicy::Full,
-            EventQueueKind::BinaryHeap,
-            seed,
-        );
+        let reference = report(&chaos, TableLayout::Dense, RebuildPolicy::Full, seed);
         for layout in TableLayout::ALL {
             for policy in RebuildPolicy::ALL {
-                for queue in EventQueueKind::ALL {
-                    let candidate = report(&chaos, layout, policy, queue, seed);
-                    assert_eq!(
-                        reference,
-                        candidate,
-                        "chaos drifted (seed {seed}, {} layout, {} policy, {} queue)",
-                        layout.name(),
-                        policy.name(),
-                        queue.name()
-                    );
-                }
+                let candidate = report(&chaos, layout, policy, seed);
+                assert_eq!(
+                    reference,
+                    candidate,
+                    "chaos drifted (seed {seed}, {} layout, {} policy)",
+                    layout.name(),
+                    policy.name(),
+                );
             }
         }
     }
@@ -139,24 +123,15 @@ fn flap_storm_is_layout_independent_across_policies_and_schedulers() {
     let links = small_mesh_link_count();
     for seed in [3u64, 7] {
         let storm = flap_storm(seed, links, 240);
-        let reference = report(
-            &storm,
-            TableLayout::Dense,
-            RebuildPolicy::Full,
-            EventQueueKind::BinaryHeap,
-            seed,
-        );
+        let reference = report(&storm, TableLayout::Dense, RebuildPolicy::Full, seed);
         for policy in RebuildPolicy::ALL {
-            for queue in EventQueueKind::ALL {
-                let candidate = report(&storm, TableLayout::Sparse, policy, queue, seed);
-                assert_eq!(
-                    reference,
-                    candidate,
-                    "flap storm drifted (seed {seed}, sparse layout, {} policy, {} queue)",
-                    policy.name(),
-                    queue.name()
-                );
-            }
+            let candidate = report(&storm, TableLayout::Sparse, policy, seed);
+            assert_eq!(
+                reference,
+                candidate,
+                "flap storm drifted (seed {seed}, sparse layout, {} policy)",
+                policy.name(),
+            );
         }
         assert!(
             reference.requeued > 0,

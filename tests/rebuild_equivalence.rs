@@ -6,8 +6,7 @@
 //! reference) and `Incremental` (recompute only the affected destination
 //! trees and patch only the entries whose route entry changed). The two are
 //! claimed to be **bit-identical**; this suite holds the incremental path to
-//! that claim the same way the scheduler suite holds the calendar queue to
-//! the binary heap: run the same seeds through the most adversarial
+//! that claim: run the same seeds through the most adversarial
 //! link-dynamics scenarios under both policies and require the *entire*
 //! [`SimulationReport`] — per-phase breakdowns included — to be equal.
 //!
@@ -18,17 +17,11 @@
 //! contained between two events, and links left dead at the horizon.
 
 use bdps::prelude::*;
-use bdps::sim::sched::EventQueueKind;
 
 mod common;
 use common::{flap_storm, small_mesh_link_count};
 
-fn report(
-    scenario: &DynamicScenario,
-    policy: RebuildPolicy,
-    queue: EventQueueKind,
-    seed: u64,
-) -> SimulationReport {
+fn report(scenario: &DynamicScenario, policy: RebuildPolicy, seed: u64) -> SimulationReport {
     Simulation::builder()
         .layered_mesh(bdps::overlay::topology::LayeredMeshConfig::small())
         .ssd(12.0)
@@ -36,31 +29,20 @@ fn report(
         .strategy(StrategyKind::MaxEbpc)
         .scenario(scenario.clone())
         .rebuild_policy(policy)
-        .event_queue(queue)
         .seed(seed)
         .report()
 }
 
 /// Runs one scenario over a seed range and asserts full-vs-incremental
-/// report equality (calendar queue — the default scheduler).
+/// report equality.
 fn assert_policies_agree(scenario_name: &str, seeds: std::ops::RangeInclusive<u64>) {
     let registry = ScenarioRegistry::builtin();
     let scenario = registry
         .resolve(scenario_name)
         .unwrap_or_else(|| panic!("{scenario_name} is a builtin scenario"));
     for seed in seeds {
-        let full = report(
-            &scenario,
-            RebuildPolicy::Full,
-            EventQueueKind::Calendar,
-            seed,
-        );
-        let incremental = report(
-            &scenario,
-            RebuildPolicy::Incremental,
-            EventQueueKind::Calendar,
-            seed,
-        );
+        let full = report(&scenario, RebuildPolicy::Full, seed);
+        let incremental = report(&scenario, RebuildPolicy::Incremental, seed);
         assert_eq!(
             full, incremental,
             "incremental rebuild drifted from the full-rebuild oracle \
@@ -90,28 +72,20 @@ fn chaos_reports_are_policy_independent_on_seeds_1_to_10() {
 
 #[test]
 fn flap_storm_is_policy_and_scheduler_independent() {
-    // The small mesh has 68 directed links; the storm spans every policy ×
-    // scheduler combination and every report must come out identical.
+    // The small mesh has 68 directed links; the storm runs under both
+    // policies and every report must come out identical.
     let links = small_mesh_link_count();
     for seed in [3u64, 7, 11] {
         let storm = flap_storm(seed, links, 240);
-        let reference = report(
-            &storm,
-            RebuildPolicy::Full,
-            EventQueueKind::BinaryHeap,
-            seed,
-        );
+        let reference = report(&storm, RebuildPolicy::Full, seed);
         for policy in RebuildPolicy::ALL {
-            for queue in EventQueueKind::ALL {
-                let candidate = report(&storm, policy, queue, seed);
-                assert_eq!(
-                    reference,
-                    candidate,
-                    "flap storm drifted (seed {seed}, {} policy, {} queue)",
-                    policy.name(),
-                    queue.name()
-                );
-            }
+            let candidate = report(&storm, policy, seed);
+            assert_eq!(
+                reference,
+                candidate,
+                "flap storm drifted (seed {seed}, {} policy)",
+                policy.name(),
+            );
         }
         // The storm must actually stress the rebuild machinery: link events
         // void transfers (requeues) in a congested mesh.
