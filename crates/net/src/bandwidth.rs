@@ -44,8 +44,10 @@ pub struct NormalRate {
 
 impl NormalRate {
     /// Creates a normally distributed rate with the given mean and standard
-    /// deviation in ms/KB.
+    /// deviation in ms/KB. The mean must be finite and positive, like
+    /// [`FixedRate`]'s: routing weighs links by it.
     pub fn new(mean_ms_per_kb: f64, std_dev_ms_per_kb: f64) -> Self {
+        assert!(mean_ms_per_kb > 0.0 && mean_ms_per_kb.is_finite());
         NormalRate {
             rate: Normal::new(mean_ms_per_kb, std_dev_ms_per_kb),
         }
@@ -228,6 +230,12 @@ mod tests {
     #[should_panic]
     fn fixed_rate_rejects_nonpositive() {
         let _ = FixedRate::new(0.0);
+    }
+
+    #[test]
+    #[should_panic]
+    fn normal_rate_rejects_a_nonpositive_mean() {
+        let _ = NormalRate::new(0.0, 10.0);
     }
 
     #[test]

@@ -39,6 +39,8 @@ pub struct OverlayGraph {
     links: Vec<Link>,
     /// Outgoing links per broker (indices into `links`).
     outgoing: Vec<Vec<LinkId>>,
+    /// Incoming links per broker, in ascending link-id order.
+    incoming: Vec<Vec<LinkId>>,
 }
 
 impl OverlayGraph {
@@ -57,6 +59,7 @@ impl OverlayGraph {
             subscribers: Vec::new(),
         });
         self.outgoing.push(Vec::new());
+        self.incoming.push(Vec::new());
         id
     }
 
@@ -71,6 +74,7 @@ impl OverlayGraph {
         let id = LinkId::new(self.links.len() as u32);
         self.links.push(Link::new(id, from, to, quality));
         self.outgoing[from.index()].push(id);
+        self.incoming[to.index()].push(id);
         id
     }
 
@@ -134,6 +138,14 @@ impl OverlayGraph {
     /// Iterates over the outgoing links of a broker.
     pub fn outgoing(&self, broker: BrokerId) -> impl Iterator<Item = &Link> {
         self.outgoing[broker.index()]
+            .iter()
+            .map(move |id| &self.links[id.index()])
+    }
+
+    /// Iterates over the incoming links of a broker in ascending link-id
+    /// order — the order a scan of [`links`](Self::links) meets them in.
+    pub fn incoming(&self, broker: BrokerId) -> impl Iterator<Item = &Link> {
+        self.incoming[broker.index()]
             .iter()
             .map(move |id| &self.links[id.index()])
     }
@@ -294,6 +306,11 @@ mod tests {
         assert!(g.link_between(BrokerId::new(0), BrokerId::new(2)).is_some());
         assert!(g.link_between(BrokerId::new(2), BrokerId::new(0)).is_none());
         assert_eq!(g.outgoing(BrokerId::new(0)).count(), 2);
+        let into_b2: Vec<LinkId> = g.incoming(BrokerId::new(2)).map(|l| l.id).collect();
+        assert_eq!(into_b2, vec![LinkId::new(2), LinkId::new(4)]);
+        assert!(g
+            .links()
+            .all(|l| g.incoming(l.to).filter(|m| m.id == l.id).count() == 1));
     }
 
     #[test]

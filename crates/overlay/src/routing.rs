@@ -7,10 +7,13 @@
 //! per-KB rate as its weight. Rooting the computation at the destination
 //! guarantees that the per-broker next hops are mutually consistent: the path
 //! a message actually follows hop by hop is exactly the path whose statistics
-//! each broker advertises.
+//! each broker advertises. When links fail or recover, the trees are
+//! repaired in place: only the brokers whose route the change can move are
+//! re-settled.
 
 use crate::graph::OverlayGraph;
 use crate::pathstats::PathStats;
+use bdps_net::link::Link;
 use bdps_types::error::{BdpsError, Result};
 use bdps_types::id::{BrokerId, LinkId};
 use serde::{Deserialize, Serialize};
@@ -29,6 +32,13 @@ pub struct RouteEntry {
 }
 
 /// All-pairs single-path routes.
+///
+/// Every link's mean per-KB rate must be finite and strictly positive (the
+/// bandwidth models assert it). Dijkstra's settle order needs non-negative
+/// weights, and the tie argument that makes the incremental
+/// [`update_for_link_change`](Self::update_for_link_change) bit-identical
+/// to the from-scratch computation needs positive ones: a broker must
+/// settle strictly after every neighbour it could route through.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Routing {
     /// `table[dest][source]` — the route entry at `source` towards `dest`
@@ -50,10 +60,11 @@ pub struct RouteDelta {
     changed_dests: Vec<BrokerId>,
     /// Total number of changed `(source, destination)` pairs.
     changed_pairs: usize,
-    /// Destinations whose shortest-path tree was recomputed (a superset of
-    /// [`changed_dests`](Self::changed_dests): a recompute can find the tree
-    /// unchanged).
-    dests_recomputed: usize,
+    /// Destinations whose shortest-path tree was repaired, i.e. had at
+    /// least one broker re-settled (a superset of
+    /// [`changed_dests_union`](Self::changed_dests_union): a repair can
+    /// re-settle brokers onto their old entries).
+    dests_repaired: usize,
 }
 
 impl RouteDelta {
@@ -67,9 +78,9 @@ impl RouteDelta {
         self.changed_pairs
     }
 
-    /// Number of destination trees that were recomputed.
-    pub fn dests_recomputed(&self) -> usize {
-        self.dests_recomputed
+    /// Number of destination trees that were repaired.
+    pub fn dests_repaired(&self) -> usize {
+        self.dests_repaired
     }
 
     /// The destinations whose route entry at `source` changed.
@@ -119,6 +130,186 @@ impl PartialOrd for HeapEntry {
     }
 }
 
+/// The route entry of a broker that forwards over `link` to a neighbour
+/// whose own entry is `downstream` (`None` when the neighbour is the
+/// destination): the link followed by the neighbour's path.
+fn extend(link: &Link, downstream: Option<RouteEntry>) -> RouteEntry {
+    let downstream = downstream.map_or_else(PathStats::local, |e| e.stats);
+    RouteEntry {
+        next_hop: link.to,
+        next_link: link.id,
+        stats: downstream.extend(link.quality.rate_distribution()),
+    }
+}
+
+/// The routing order of two candidate entries of one broker: lower path
+/// cost first, then the lower next hop, then the lower link id (parallel
+/// links). Every broker routes over its minimum candidate.
+fn precedes(a: &RouteEntry, b: &RouteEntry) -> bool {
+    let (ca, cb) = (a.stats.mean_rate(), b.stats.mean_rate());
+    ca < cb || (ca == cb && (a.next_hop, a.next_link) < (b.next_hop, b.next_link))
+}
+
+/// Broker flags of a row repair.
+const TOUCHED: u8 = 1;
+const INVALID: u8 = 2;
+const SETTLED: u8 = 4;
+
+/// The working state of [`Routing::update_for_link_change`], reused across
+/// the destination rows of one batch; a row resets only what it touched.
+struct Repair {
+    /// Per broker: [`TOUCHED`], [`INVALID`] (its tree path used a removed
+    /// link) and [`SETTLED`] (its entry is final for this row).
+    flags: Vec<u8>,
+    /// Per touched broker: its entry before the repair.
+    old: Vec<Option<RouteEntry>>,
+    /// The brokers the current row touched, in first-touch order.
+    touched: Vec<BrokerId>,
+    heap: BinaryHeap<HeapEntry>,
+    stack: Vec<BrokerId>,
+}
+
+impl Repair {
+    fn new(n: usize) -> Self {
+        Repair {
+            flags: vec![0; n],
+            old: vec![None; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    fn is(&self, b: BrokerId, flag: u8) -> bool {
+        self.flags[b.index()] & flag != 0
+    }
+
+    /// Records `b`'s pre-repair entry the first time the row touches it.
+    fn touch(&mut self, row: &[Option<RouteEntry>], b: BrokerId) {
+        if !self.is(b, TOUCHED) {
+            self.flags[b.index()] |= TOUCHED;
+            self.old[b.index()] = row[b.index()];
+            self.touched.push(b);
+        }
+    }
+
+    /// Offers `candidate` to the unsettled broker `b`, which takes it when
+    /// it has no route, already routes over the same link (a refreshed
+    /// downstream entry), or the candidate precedes its current entry.
+    fn offer(&mut self, row: &mut [Option<RouteEntry>], b: BrokerId, candidate: RouteEntry) {
+        let take = row[b.index()].is_none_or(|current| {
+            current.next_link == candidate.next_link || precedes(&candidate, &current)
+        });
+        if take {
+            self.touch(row, b);
+            row[b.index()] = Some(candidate);
+            self.heap.push(HeapEntry {
+                dist: candidate.stats.mean_rate(),
+                broker: b,
+            });
+        }
+    }
+
+    /// Brings one destination row up to date with the batch, leaving every
+    /// broker it may have changed in `touched` with its old entry in `old`.
+    fn repair_row(
+        &mut self,
+        graph: &OverlayGraph,
+        row: &mut [Option<RouteEntry>],
+        dest: BrokerId,
+        usable: &impl Fn(LinkId) -> bool,
+        removed: &[LinkId],
+        added: &[LinkId],
+    ) {
+        // Invalidate the subtree hanging off every removed tree edge.
+        for &id in removed {
+            let tail = graph.link(id).from;
+            if row[tail.index()].is_some_and(|e| e.next_link == id) {
+                self.invalidate_subtree(graph, row, tail);
+            }
+        }
+        // Seed every invalidated broker with its ways out of the invalid
+        // region, over entries the batch has not touched.
+        for i in 0..self.touched.len() {
+            let b = self.touched[i];
+            for link in graph.outgoing(b) {
+                if let Some(candidate) = self.candidate(row, dest, link, usable) {
+                    self.offer(row, b, candidate);
+                }
+            }
+        }
+        // Seed the tail of every restored link that beats its route.
+        for &id in added {
+            let link = graph.link(id);
+            if link.from == dest {
+                continue;
+            }
+            if let Some(candidate) = self.candidate(row, dest, link, usable) {
+                self.offer(row, link.from, candidate);
+            }
+        }
+        // Dijkstra over the touched region: a settled broker that changed
+        // (or lost its old path) re-offers itself to its in-neighbours.
+        while let Some(HeapEntry { broker: b, .. }) = self.heap.pop() {
+            if self.is(b, SETTLED) {
+                continue;
+            }
+            self.flags[b.index()] |= SETTLED;
+            let entry = row[b.index()];
+            if !self.is(b, INVALID) && self.old[b.index()] == entry {
+                continue;
+            }
+            for link in graph.incoming(b) {
+                let u = link.from;
+                if u == dest || self.is(u, SETTLED) || !usable(link.id) {
+                    continue;
+                }
+                self.offer(row, u, extend(link, entry));
+            }
+        }
+    }
+
+    /// The candidate entry over `link` towards `dest`, when the link is
+    /// usable and its head has a route outside the invalid region.
+    fn candidate(
+        &self,
+        row: &[Option<RouteEntry>],
+        dest: BrokerId,
+        link: &Link,
+        usable: &impl Fn(LinkId) -> bool,
+    ) -> Option<RouteEntry> {
+        let head = link.to;
+        if !usable(link.id) || self.is(head, INVALID) {
+            return None;
+        }
+        if head == dest {
+            return Some(extend(link, None));
+        }
+        row[head.index()].map(|e| extend(link, Some(e)))
+    }
+
+    /// Clears the entries of `root` and of every broker whose tree path
+    /// passes through it, marking them invalid.
+    fn invalidate_subtree(
+        &mut self,
+        graph: &OverlayGraph,
+        row: &mut [Option<RouteEntry>],
+        root: BrokerId,
+    ) {
+        self.stack.push(root);
+        while let Some(b) = self.stack.pop() {
+            self.touch(row, b);
+            self.flags[b.index()] |= INVALID;
+            row[b.index()] = None;
+            for link in graph.incoming(b) {
+                if row[link.from.index()].is_some_and(|e| e.next_link == link.id) {
+                    self.stack.push(link.from);
+                }
+            }
+        }
+    }
+}
+
 impl Routing {
     /// Computes single-path routes for every (source, destination) pair.
     pub fn compute(graph: &OverlayGraph) -> Routing {
@@ -126,10 +317,11 @@ impl Routing {
     }
 
     /// Like [`compute`](Self::compute), but only links for which `usable`
-    /// returns true participate. This is the incremental-update entry point
-    /// for dynamic scenarios: when a link fails or recovers mid-run the
-    /// routes are recomputed over the surviving links, so traffic flows
-    /// around outages instead of piling up behind them.
+    /// returns true participate. This is the from-scratch oracle of
+    /// [`update_for_link_change`](Self::update_for_link_change): when a link
+    /// fails or recovers mid-run the routes over the surviving links are
+    /// what traffic follows, so it flows around outages instead of piling up
+    /// behind them.
     pub fn compute_filtered(graph: &OverlayGraph, usable: impl Fn(LinkId) -> bool) -> Routing {
         let n = graph.broker_count();
         let mut table = Vec::with_capacity(n);
@@ -147,19 +339,19 @@ impl Routing {
     ///
     /// Returns, for every source broker, the first hop of its minimum
     /// mean-rate path towards `dest` together with the accumulated path
-    /// statistics.
+    /// statistics. With strictly positive link means, every broker's entry
+    /// is the [`precedes`]-minimum candidate over its usable out-links: a
+    /// broker settles only after every neighbour that could beat or tie its
+    /// cost.
     fn routes_towards(
         graph: &OverlayGraph,
         dest: BrokerId,
         usable: &impl Fn(LinkId) -> bool,
     ) -> Vec<Option<RouteEntry>> {
         let n = graph.broker_count();
-        let mut dist = vec![f64::INFINITY; n];
         let mut entry: Vec<Option<RouteEntry>> = vec![None; n];
         let mut done = vec![false; n];
         let mut heap = BinaryHeap::new();
-
-        dist[dest.index()] = 0.0;
         heap.push(HeapEntry {
             dist: 0.0,
             broker: dest,
@@ -169,41 +361,22 @@ impl Routing {
         // reach `dest` with cost d(v), then any broker `u` with a link u -> v
         // can reach it with cost d(v) + mean_rate(u -> v), taking u's first
         // hop to be v.
-        while let Some(HeapEntry { dist: d, broker: v }) = heap.pop() {
+        while let Some(HeapEntry { broker: v, .. }) = heap.pop() {
             if done[v.index()] {
                 continue;
             }
             done[v.index()] = true;
-            for link in graph.links().filter(|l| l.to == v && usable(l.id)) {
+            let downstream = entry[v.index()];
+            for link in graph.incoming(v).filter(|l| usable(l.id)) {
                 let u = link.from;
                 if done[u.index()] {
                     continue;
                 }
-                let weight = link.quality.rate_distribution().mean();
-                let candidate = d + weight;
-                let better = candidate < dist[u.index()]
-                    || (candidate == dist[u.index()]
-                        && entry[u.index()].map(|e| v < e.next_hop).unwrap_or(true));
-                if better {
-                    dist[u.index()] = candidate;
-                    // Path stats of u: the link u -> v followed by v's path.
-                    let downstream = match entry[v.index()] {
-                        Some(e) => e.stats,
-                        None => PathStats::local(),
-                    };
-                    let stats = PathStats {
-                        downstream_brokers: downstream.downstream_brokers + 1,
-                        rate: downstream
-                            .rate
-                            .add_independent(&link.quality.rate_distribution()),
-                    };
-                    entry[u.index()] = Some(RouteEntry {
-                        next_hop: v,
-                        next_link: link.id,
-                        stats,
-                    });
+                let candidate = extend(link, downstream);
+                if entry[u.index()].is_none_or(|current| precedes(&candidate, &current)) {
+                    entry[u.index()] = Some(candidate);
                     heap.push(HeapEntry {
-                        dist: candidate,
+                        dist: candidate.stats.mean_rate(),
                         broker: u,
                     });
                 }
@@ -213,30 +386,37 @@ impl Routing {
     }
 
     /// Incrementally updates the routes after a batch of link liveness
-    /// changes, recomputing only the destinations whose shortest-path tree
-    /// the batch can actually affect, and returns the set of
-    /// `(source, destination)` pairs whose route entry changed.
+    /// changes and returns the set of `(source, destination)` pairs whose
+    /// route entry changed.
     ///
     /// `removed` are links that were usable when this routing was last
     /// computed and are not any more; `added` the reverse; `usable` must
     /// describe the *post-change* liveness. The result is **bit-identical**
     /// to [`compute_filtered`](Self::compute_filtered) over the same graph
     /// and `usable` predicate (`tests/properties.rs` pins this against the
-    /// from-scratch oracle):
+    /// from-scratch oracle, ties included).
     ///
-    /// * removing a link that no route entry of a destination uses cannot
-    ///   change that destination's tree — the chosen entry at every source
-    ///   is the lexicographic minimum `(path cost, next hop)` over its
-    ///   candidates, and the removal only deletes non-winning candidates;
-    /// * adding a link `u -> v` that does not beat `u`'s current
-    ///   `(cost, next hop)` cannot change anything either: any path through
-    ///   the new link costs at least `cost(x, u) + cost(u, dest)` for every
-    ///   source `x`, which never undercuts `x`'s current cost.
+    /// Each destination row is repaired rather than recomputed (dynamic
+    /// shortest paths in the style of Ramalingam & Reps): only the brokers
+    /// whose tree path used a removed link, and those a restored link or a
+    /// changed neighbour improves, are re-settled. This is exact because
+    /// the scratch entry of every broker is its minimum candidate over its
+    /// usable out-links in the order (path cost, next hop, link id), and a
+    /// candidate's cost is its statistics' mean, which the repair
+    /// recomputes with the same additions as the scratch Dijkstra:
     ///
-    /// Destinations failing these checks are recomputed with the same
-    /// Dijkstra as the full path and diffed entry-by-entry (statistics
-    /// included — an equal-cost tree swap still changes downstream
-    /// variance), so the delta is exact.
+    /// * a broker outside the removed links' subtrees keeps its candidate,
+    ///   whose cost cannot rise; every other candidate only got worse, so
+    ///   it changes only if a restored link or a re-settled neighbour
+    ///   offers something that precedes its entry;
+    /// * a re-settled broker whose entry changed re-offers itself to its
+    ///   in-neighbours, and an in-neighbour already routing through it takes
+    ///   the new entry even at equal cost — an equal-cost tie flip upstream
+    ///   still changes the downstream variance and hop count.
+    ///
+    /// The work per destination is proportional to the brokers it
+    /// re-settles, so a link no tree uses, or a restored link that beats
+    /// nothing, costs one check per row.
     pub fn update_for_link_change(
         &mut self,
         graph: &OverlayGraph,
@@ -251,25 +431,27 @@ impl Routing {
             per_source: vec![Vec::new(); n],
             ..RouteDelta::default()
         };
-        for dest_raw in 0..n {
+        let mut repair = Repair::new(n);
+        for (dest_raw, row) in self.table.iter_mut().enumerate() {
             let dest = BrokerId::new(dest_raw as u32);
-            if !Self::row_affected(graph, &self.table[dest_raw], dest, removed, added) {
+            repair.repair_row(graph, row, dest, &usable, removed, added);
+            if repair.touched.is_empty() {
                 continue;
             }
-            delta.dests_recomputed += 1;
-            let fresh = Self::routes_towards(graph, dest, &usable);
+            delta.dests_repaired += 1;
             let mut any_changed = false;
-            for (src_raw, (old, new)) in self.table[dest_raw].iter().zip(&fresh).enumerate() {
-                if old != new {
-                    delta.per_source[src_raw].push(dest);
+            for &b in &repair.touched {
+                if repair.old[b.index()] != row[b.index()] {
+                    delta.per_source[b.index()].push(dest);
                     delta.changed_pairs += 1;
                     any_changed = true;
                 }
+                repair.flags[b.index()] = 0;
             }
+            repair.touched.clear();
             if any_changed {
                 delta.changed_dests.push(dest);
             }
-            self.table[dest_raw] = fresh;
         }
         delta
     }
@@ -288,59 +470,6 @@ impl Routing {
         added: &[LinkId],
     ) -> RouteDelta {
         self.update_for_link_change(graph, |l| down_depth[l.index()] == 0, removed, added)
-    }
-
-    /// Returns true when the batch of link changes can affect `dest`'s
-    /// shortest-path tree (see [`update_for_link_change`](Self::update_for_link_change)).
-    fn row_affected(
-        graph: &OverlayGraph,
-        row: &[Option<RouteEntry>],
-        dest: BrokerId,
-        removed: &[LinkId],
-        added: &[LinkId],
-    ) -> bool {
-        for &id in removed {
-            let link = graph.link(id);
-            if row[link.from.index()].is_some_and(|e| e.next_link == id) {
-                return true; // a tree edge died
-            }
-        }
-        for &id in added {
-            let link = graph.link(id);
-            let (u, v) = (link.from, link.to);
-            if u == dest {
-                continue; // the destination never routes anywhere
-            }
-            // Cost of v's remaining path to dest (the Dijkstra distance).
-            let via = if v == dest {
-                0.0
-            } else {
-                match &row[v.index()] {
-                    Some(e) => e.stats.mean_rate(),
-                    None => continue, // v cannot reach dest: the link is useless
-                }
-            };
-            let candidate = via + link.quality.rate_distribution().mean();
-            match &row[u.index()] {
-                // u was unreachable and gains a path.
-                None => return true,
-                Some(e) => {
-                    let current = e.stats.mean_rate();
-                    // The last clause covers parallel links (same endpoints,
-                    // equal cost): the scratch Dijkstra keeps the first
-                    // relaxation, i.e. the lowest link id, so restoring a
-                    // lower-id duplicate of the tree edge flips `next_link`
-                    // even though `(cost, next_hop)` is unchanged.
-                    if candidate < current
-                        || (candidate == current
-                            && (v < e.next_hop || (v == e.next_hop && id < e.next_link)))
-                    {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
     }
 
     /// Number of brokers the routing was computed for.
@@ -617,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn removing_an_unused_link_recomputes_nothing() {
+    fn removing_an_unused_link_repairs_nothing() {
         let g = line_with_unused_shortcut();
         let mut routing = Routing::compute(&g);
         let unused = LinkId::new(4);
@@ -632,11 +761,11 @@ mod tests {
         dead.insert(unused);
         let delta = update_and_check(&g, &mut routing, &dead, &[unused], &[]);
         assert!(delta.is_empty());
-        assert_eq!(delta.dests_recomputed(), 0, "no tree uses the dead link");
+        assert_eq!(delta.dests_repaired(), 0, "no tree uses the dead link");
     }
 
     #[test]
-    fn restoring_a_non_improving_link_is_a_no_op() {
+    fn restoring_a_non_improving_link_repairs_nothing() {
         let g = line_with_unused_shortcut();
         // Start with the shortcut dead, then restore it: the line still wins
         // everywhere, so the restoration must not recompute anything.
@@ -645,7 +774,7 @@ mod tests {
         dead.remove(&LinkId::new(4));
         let delta = update_and_check(&g, &mut routing, &dead, &[], &[LinkId::new(4)]);
         assert!(delta.is_empty());
-        assert_eq!(delta.dests_recomputed(), 0, "the shortcut never improves");
+        assert_eq!(delta.dests_repaired(), 0, "the shortcut never improves");
     }
 
     #[test]

@@ -454,15 +454,26 @@ fn scenario_phase_breakdowns_partition_the_run() {
 /// [`Routing::compute_filtered`] over the surviving links, and the reported
 /// delta names exactly the `(source, destination)` pairs whose entry
 /// changed — the table-level oracle behind `RebuildPolicy::Incremental`.
-#[test]
-fn incremental_routing_equals_scratch_recompute_after_any_delta_sequence() {
-    check(0xD317A, 40, |rng| {
-        let n = rng.uniform_usize(4, 12);
-        let mut topo_rng = SimRng::seed_from(rng.next_u64());
-        let topo = Topology::random_mesh(n, 3.0, &mut topo_rng, LinkQuality::paper_random);
-        let links = topo.graph.link_count();
+///
+/// `graph` draws each case's overlay; `initial_dead` is the share of links
+/// that start dead, so the first batches restore links as well as remove
+/// them.
+fn check_incremental_routing(
+    seed: u64,
+    cases: usize,
+    initial_dead: f64,
+    graph: impl Fn(&mut SimRng) -> OverlayGraph,
+) {
+    check(seed, cases, |rng| {
+        let graph = graph(rng);
+        let (n, links) = (graph.broker_count(), graph.link_count());
         let mut alive = vec![true; links];
-        let mut routing = Routing::compute(&topo.graph);
+        if initial_dead > 0.0 {
+            for live in alive.iter_mut() {
+                *live = !rng.chance(initial_dead);
+            }
+        }
+        let mut routing = Routing::compute_filtered(&graph, |l| alive[l.index()]);
         for _ in 0..rng.uniform_usize(1, 6) {
             // One batch: toggle a few links (dedup — a link toggles once per
             // batch, matching the engine's coalesced net-change semantics).
@@ -483,8 +494,8 @@ fn incremental_routing_equals_scratch_recompute_after_any_delta_sequence() {
             }
             let before = routing.clone();
             let delta =
-                routing.update_for_link_change(&topo.graph, |l| alive[l.index()], &removed, &added);
-            let scratch = Routing::compute_filtered(&topo.graph, |l| alive[l.index()]);
+                routing.update_for_link_change(&graph, |l| alive[l.index()], &removed, &added);
+            let scratch = Routing::compute_filtered(&graph, |l| alive[l.index()]);
             assert_eq!(
                 routing, scratch,
                 "incremental routing drifted from the from-scratch oracle"
@@ -505,6 +516,50 @@ fn incremental_routing_equals_scratch_recompute_after_any_delta_sequence() {
             }
             assert_eq!(delta.changed_pairs(), expected);
         }
+    });
+}
+
+/// The routing oracle on the paper's random meshes (continuous link means).
+#[test]
+fn incremental_routing_equals_scratch_recompute_after_any_delta_sequence() {
+    check_incremental_routing(0xD317A, 40, 0.0, |rng| {
+        let n = rng.uniform_usize(4, 12);
+        let mut topo_rng = SimRng::seed_from(rng.next_u64());
+        Topology::random_mesh(n, 3.0, &mut topo_rng, LinkQuality::paper_random).graph
+    });
+}
+
+/// The routing oracle where ties are the rule: small hand-built graphs with
+/// parallel and one-way links whose means come from {50, 100, 150}, so
+/// many paths cost exactly the same while their variances (σ from
+/// {0, 10, 20}) and hop counts differ. Every tie-break of the scratch
+/// Dijkstra — next hop, then link id — and every equal-cost statistics
+/// change must be reproduced by the incremental repair.
+#[test]
+fn incremental_routing_equals_scratch_recompute_on_tie_heavy_graphs() {
+    check_incremental_routing(0x71E5, 3_000, 0.25, |rng| {
+        let n = rng.uniform_usize(2, 8);
+        let mut graph = OverlayGraph::new();
+        for _ in 0..n {
+            graph.add_broker(None);
+        }
+        for _ in 0..rng.uniform_usize(n, 4 * n) {
+            let a = rng.uniform_usize(0, n);
+            let mut b = rng.uniform_usize(0, n - 1);
+            if b >= a {
+                b += 1;
+            }
+            let (a, b) = (BrokerId::new(a as u32), BrokerId::new(b as u32));
+            let mean = *rng.choose(&[50.0, 100.0, 150.0]);
+            let sigma = *rng.choose(&[0.0, 10.0, 20.0]);
+            let quality = LinkQuality::new(NormalRate::new(mean, sigma));
+            if rng.chance(0.5) {
+                graph.add_bidirectional_link(a, b, quality);
+            } else {
+                graph.add_link(a, b, quality);
+            }
+        }
+        graph
     });
 }
 
